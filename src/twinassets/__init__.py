@@ -13,20 +13,11 @@ from .errors import (
     InvalidParameterError,
     NumericalError,
     TwinAssetsError,
-    UndefinedAlphaError,
     UnsupportedSimilarityError,
 )
 from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, TwinPriceResult, bs_call, twin_call, twin_call_quadrature
-from .twin import (
-    TwinTerms,
-    alpha,
-    deterministic_term,
-    exact_relation_residual,
-    predict_twin,
-    stochastic_term,
-    twin_terms,
-)
+from .twin import alpha, deterministic_term, exact_relation_residual, predict_twin, stochastic_term
 
 __version__ = "0.1.0"
 
@@ -42,8 +33,6 @@ __all__ = [
     "TwinAssetsError",
     "TwinPair",
     "TwinPriceResult",
-    "TwinTerms",
-    "UndefinedAlphaError",
     "UnsupportedSimilarityError",
     "alpha",
     "alpha_to_mu_j",
@@ -60,5 +49,4 @@ __all__ = [
     "terminal_pair",
     "twin_call",
     "twin_call_quadrature",
-    "twin_terms",
 ]

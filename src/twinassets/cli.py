@@ -4,13 +4,16 @@ Outputs are plain CSV (header row, `.` decimal) or key=value records so
 any external tool can plot them; nothing is rendered here. Runs with the
 same flags and seed are byte-identical regardless of `--threads`.
 
-Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
+Each subcommand accepts only the flags its runner reads (see OPTIONS);
+any other flag, or one the chosen `mape` mode does not read, is a usage
+error. Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 4 numerical failure.
 """
 
 import argparse
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,44 +22,72 @@ from .errors import InvalidParameterError, NumericalError, TwinAssetsError
 from .harness import GridSpec, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
-from .twin import alpha as similarity_alpha
-from .twin import deterministic_term, twin_exponent
+from .twin import predict_twin, stochastic_term_from
 
 # Time units are years under a 252-trading-day convention.
 TRADING_DAYS_PER_YEAR = 252
 ONE_DAY = 1.0 / TRADING_DAYS_PER_YEAR
 ONE_MONTH = 21.0 / TRADING_DAYS_PER_YEAR
 
+_MODE_DEFAULT_N = {"asset": 40000, "option": 10000, "sigma-sweep": 40000, "horizon-compare": 40000}
+
+
+class Option(NamedTuple):
+    """One option, keyed in OPTIONS by its config key; the flag is the key
+    with '-' for '_'. `readers` are the subcommands whose runner reads it;
+    under `mape`, `modes` narrows that to the modes that do (None: all)."""
+
+    type: type
+    default: object
+    readers: tuple
+    help: str
+    modes: tuple | None = None
+
+
+_COMMANDS = {
+    "simulate": "simulate a correlated path pair with twin prediction",
+    "price": "price a call on asset j via its twin",
+    "mape": "run a MAPE grid experiment",
+}
+_ALL = tuple(_COMMANDS)
+_PAIR = ("simulate", "price")  # mape sets mu_j and rho per grid cell
+_PRICED = ("price", "mape")
+
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
 # drifts give alpha = 1 exactly, and it is configurable everywhere.
-DEFAULTS = {
-    "mu_i": 0.4,
-    "mu_j": 0.8,
-    "sigma_i": 0.2,
-    "sigma_j": 0.4,
-    "spot_i": 80.0,
-    "spot_j": 90.0,
-    "rho": 1.0,
-    "alpha": None,
-    "steps": 252,
-    "dt": ONE_DAY,
-    "horizon": ONE_DAY,
-    "n": None,
-    "strike": 90.0,
-    "rate": 0.05,
-    "maturity": 0.25,
-    "seed": 12345,
-    "threads": "1",
-    "mode": "asset",
-    "rho_grid": "-1:1:21",
-    "alpha_grid": "0.5:1.5:21",
-    "sigma_j_values": "0.2,0.4,0.6",
-    "out": None,
-    "config": None,
+OPTIONS = {
+    "mu_i": Option(float, 0.4, _ALL, "drift of asset i (the traded twin)"),
+    "mu_j": Option(float, 0.8, _PAIR, "drift of asset j"),
+    "sigma_i": Option(float, 0.2, _ALL, "volatility of asset i"),
+    "sigma_j": Option(float, 0.4, _ALL, "volatility of asset j",
+                      ("asset", "option", "horizon-compare")),
+    "spot_i": Option(float, 80.0, _ALL, "spot price of asset i"),
+    "spot_j": Option(float, 90.0, _ALL, "spot price of asset j"),
+    "rho": Option(float, 1.0, _PAIR, "return correlation"),
+    "alpha": Option(float, None, _PAIR, "set similarity ratio directly (overrides --mu-j)"),
+    "steps": Option(int, 252, ("simulate",), "number of time steps"),
+    "dt": Option(float, ONE_DAY, ("simulate",), "step size in years"),
+    "horizon": Option(float, ONE_DAY, ("mape",), "prediction horizon (years)",
+                      ("asset", "sigma-sweep")),
+    "n": Option(int, None, _PRICED, "number of replications (per cell in mape)"),
+    "strike": Option(float, 90.0, _PRICED, "call strike", ("option",)),
+    "rate": Option(float, 0.05, _PRICED, "risk-free rate", ("option",)),
+    "maturity": Option(float, 0.25, _PRICED, "call maturity (years)", ("option",)),
+    "seed": Option(int, 12345, _ALL, "master seed"),
+    "threads": Option(str, "1", ("mape",), "worker threads or 'auto'"),
+    "mode": Option(str, "asset", ("mape",), "one of " + ", ".join(_MODE_DEFAULT_N)),
+    "rho_grid": Option(str, "-1:1:21", ("mape",), "'lo:hi:count' or comma list"),
+    "alpha_grid": Option(str, "0.5:1.5:21", ("mape",), "'lo:hi:count' or comma list"),
+    "sigma_j_values": Option(str, "0.2,0.4,0.6", ("mape",), "comma list of sigma_j values",
+                             ("sigma-sweep",)),
+    "out": Option(str, None, _ALL, "output file (default: stdout)"),
+    "config": Option(str, None, _ALL, "key = value config file"),
 }
 
-_MODE_DEFAULT_N = {"asset": 40000, "option": 10000, "sigma-sweep": 40000, "horizon-compare": 40000}
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _parse_values(text: str) -> list[float]:
@@ -85,34 +116,33 @@ def _read_config(path: str) -> dict:
                 raise InvalidParameterError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in DEFAULTS:
+            if key not in OPTIONS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if key in ("steps", "n", "seed"):
-        return int(value)
-    if key in ("threads", "mode", "rho_grid", "alpha_grid", "sigma_j_values", "out", "config"):
-        return value
-    return float(value)
-
-
 def _merged_options(args: argparse.Namespace) -> dict:
-    """Flag > config file > built-in default, per key."""
-    cli = {k: v for k, v in vars(args).items() if k in DEFAULTS}
-    config = _read_config(cli["config"]) if cli.get("config") else {}
+    """Flag > config file > built-in default, per key. A flag the chosen mape
+    mode does not read is a usage error; a config file may set any known
+    key, so one file can serve every subcommand."""
+    flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
+    config = _read_config(flags["config"]) if flags.get("config") else {}
     merged = {}
-    for key, default in DEFAULTS.items():
-        if cli.get(key) is not None:
-            merged[key] = cli[key]
-        elif key in config:
-            merged[key] = _coerce(key, config[key])
+    for name, opt in OPTIONS.items():
+        if name in flags:
+            merged[name] = flags[name]
+        elif name in config:
+            merged[name] = opt.type(config[name])
         else:
-            merged[key] = default
+            merged[name] = opt.default
+    if args.command == "mape":
+        for name in flags:
+            modes = OPTIONS[name].modes
+            if modes is not None and merged["mode"] not in modes:
+                raise InvalidParameterError(
+                    f"{_flag(name)} is not read by mape --mode {merged['mode']}"
+                )
     return merged
 
 
@@ -161,18 +191,14 @@ def run_simulate(opts: dict) -> str:
     w_x = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))])
     w_y = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))])
 
-    a = similarity_alpha(pair)
-    sig_j = pair.asset_j.sigma
-    expo = twin_exponent(pair)
     predicted = np.empty(steps + 1)
     predicted[0] = pair.asset_j.spot
-    for k in range(1, steps + 1):
-        t = paths.times[k]
-        b = np.exp(
-            sig_j * (1.0 - pair.rho * a) * w_x[k]
-            - a * sig_j * np.sqrt(1.0 - pair.rho**2) * w_y[k]
-        )
-        predicted[k] = deterministic_term(pair, t) * b * paths.path_i[k] ** expo
+    # The walks as Python floats give the same IEEE products as numpy
+    # scalars, faster; the lists are freed when the loop ends.
+    for k, (wx_k, wy_k) in enumerate(zip(w_x[1:].tolist(), w_y[1:].tolist()), 1):
+        # the walks already carry the sqrt(t) scaling, so B takes tau = 1
+        b = stochastic_term_from(pair, 1.0, wx_k, wy_k)
+        predicted[k] = predict_twin(pair, paths.times[k], paths.path_i[k], b)
 
     lines = ["t,s_i,s_j,s_j_predicted"]
     for k in range(steps + 1):
@@ -256,49 +282,20 @@ def run_mape(opts: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_shared(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--threads", default=None, help="worker threads or 'auto'")
-    parser.add_argument("--config", default=None, help="key = value config file")
-    for flag in ("--mu-i", "--mu-j", "--sigma-i", "--sigma-j", "--spot-i", "--spot-j", "--rho"):
-        parser.add_argument(flag, type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="set similarity ratio directly (overrides --mu-j)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twinassets",
         description="Twin-asset Monte Carlo simulation, pricing, and MAPE experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="simulate a correlated path pair with twin prediction")
-    _add_shared(p_sim)
-    p_sim.add_argument("--steps", type=int, default=None, help="number of time steps")
-    p_sim.add_argument("--dt", type=float, default=None, help="step size in years")
-
-    p_price = sub.add_parser("price", help="price a call on asset j via its twin")
-    _add_shared(p_price)
-    p_price.add_argument("--strike", type=float, default=None)
-    p_price.add_argument("--rate", type=float, default=None)
-    p_price.add_argument("--maturity", type=float, default=None)
-    p_price.add_argument("--n", type=int, default=None, help="number of replications")
-
-    p_mape = sub.add_parser("mape", help="run a MAPE grid experiment")
-    _add_shared(p_mape)
-    p_mape.add_argument("--mode", default=None,
-                        choices=["asset", "option", "sigma-sweep", "horizon-compare"])
-    p_mape.add_argument("--rho-grid", default=None, help="'lo:hi:count' or comma list")
-    p_mape.add_argument("--alpha-grid", default=None, help="'lo:hi:count' or comma list")
-    p_mape.add_argument("--sigma-j-values", default=None, help="comma list for sigma-sweep")
-    p_mape.add_argument("--n", type=int, default=None, help="replications per cell")
-    p_mape.add_argument("--horizon", type=float, default=None, help="prediction horizon (years)")
-    p_mape.add_argument("--strike", type=float, default=None)
-    p_mape.add_argument("--rate", type=float, default=None)
-    p_mape.add_argument("--maturity", type=float, default=None)
-
+    for command, summary in _COMMANDS.items():
+        # no prefix matching: `mape --rho` must not be read as --rho-grid
+        p_command = sub.add_parser(command, help=summary, allow_abbrev=False)
+        for key, opt in OPTIONS.items():
+            if command in opt.readers:
+                modes = opt.modes if command == "mape" else None
+                help_text = opt.help + (f" (modes: {', '.join(modes)})" if modes else "")
+                p_command.add_argument(_flag(key), type=opt.type, help=help_text)
     return parser
 
 

@@ -52,10 +52,6 @@ class TwinPair:
         if self.asset_i.mu == 0:
             raise InvalidParameterError("asset_i.mu must be nonzero for alpha to be defined")
 
-    def swapped(self) -> "TwinPair":
-        """The pair with the roles of i and j exchanged."""
-        return TwinPair(asset_i=self.asset_j, asset_j=self.asset_i, rho=self.rho)
-
 
 @dataclass(frozen=True)
 class NoiseDraw:

@@ -9,10 +9,6 @@ class InvalidParameterError(TwinAssetsError, ValueError):
     """A model or option parameter violates its domain constraints."""
 
 
-class UndefinedAlphaError(TwinAssetsError, ValueError):
-    """alpha is undefined because the reference asset has zero drift."""
-
-
 class UnsupportedSimilarityError(TwinAssetsError, ValueError):
     """Operation requires alpha > 0 (e.g. the twin pricing formula)."""
 

@@ -20,7 +20,7 @@ from .engine import AssetParams, NoiseDraw, TwinPair, terminal_pair
 from .errors import InvalidParameterError
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
-from .twin import deterministic_term, stochastic_term, twin_exponent
+from .twin import predict_twin, stochastic_term
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,7 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
         rng = substream(grid.master_seed, STREAM_ASSET_MAPE, l, m)
         draw = NoiseDraw.sample(rng, grid.n_replications)
         s_i, s_j = terminal_pair(pair, tau, draw)
-        predicted = (
-            deterministic_term(pair, tau)
-            * stochastic_term(pair, tau, draw)
-            * s_i ** twin_exponent(pair)
-        )
+        predicted = predict_twin(pair, tau, s_i, stochastic_term(pair, tau, draw))
         return _mape_from_ape(np.abs(predicted - s_j) / s_j)
 
     return _run_grid(grid, cell, threads)

@@ -21,7 +21,7 @@ from scipy.stats import norm
 
 from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError, UnsupportedSimilarityError
-from .twin import alpha, deterministic_term, stochastic_term, twin_exponent
+from .twin import alpha, predict_twin, stochastic_term, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,28 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     return spot * norm.cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * norm.cdf(d2)
 
 
-def _check_alpha(pair: TwinPair) -> float:
+def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
+    """alpha, A*B, K_i = K_j/(A*B), g2, and the risk-neutral mean and
+    standard deviation of ln S_i at maturity, for one draw.
+
+    A*B is the twin relation at S_i = 1 (1.0**e is exactly 1), so A is
+    evaluated once per call.
+    """
     a = alpha(pair)
     if a <= 0:
         raise UnsupportedSimilarityError(
             f"twin pricing requires alpha > 0, got alpha = {a}"
         )
-    return a
+    tau = spec.maturity
+    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
+    ab = predict_twin(pair, tau, 1.0, stochastic_term(pair, tau, draw))
+    k_i = spec.strike / ab
+    log_spot = np.log(pair.asset_i.spot)
+    drift = (spec.rate - 0.5 * sig_i**2) * tau
+    vol = sig_i * np.sqrt(tau)
+    # ln(S_i / K_i^(sig_i/(a*sig_j))) expanded in logs for stability
+    g2 = (log_spot - (sig_i / (a * sig_j)) * np.log(k_i) + drift) / vol
+    return a, ab, k_i, g2, log_spot + drift, vol
 
 
 def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> TwinPriceResult:
@@ -92,24 +107,11 @@ def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> TwinPriceRes
     with K_i = K_j/(A*B) recomputed per draw since B is stochastic.
     Tiny negative closed-form values from cancellation are clipped to 0.
     """
-    a = _check_alpha(pair)
+    a, ab, k_i, g2, _, _ = _twin_setup(pair, spec, draw)
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     expo = twin_exponent(pair)
-
-    a_term = deterministic_term(pair, tau)
-    b_term = stochastic_term(pair, tau, draw)
-    ab = a_term * b_term
-    k_i = spec.strike / ab
-
-    sqrt_tau = np.sqrt(tau)
-    # ln(S_i / K_i^(sig_i/(a*sig_j))) expanded in logs for stability
-    g2 = (
-        np.log(pair.asset_i.spot)
-        - (sig_i / (a * sig_j)) * np.log(k_i)
-        + (spec.rate - 0.5 * sig_i**2) * tau
-    ) / (sig_i * sqrt_tau)
-    g1 = g2 + a * sig_j * sqrt_tau
+    g1 = g2 + a * sig_j * np.sqrt(tau)
 
     growth = np.exp((expo - 1.0) * (spec.rate + 0.5 * a * sig_j * sig_i) * tau)
     price = (
@@ -129,29 +131,11 @@ def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> f
 
     Independent oracle for `twin_call`; agreement to 1e-6 relative.
     """
-    a = _check_alpha(pair)
-    tau = spec.maturity
-    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
+    _, ab, k_i, g2, log_mean, vol = _twin_setup(pair, spec, draw)
     expo = twin_exponent(pair)
 
-    a_term = deterministic_term(pair, tau)
-    b_term = float(stochastic_term(pair, tau, draw))
-    ab = a_term * b_term
-    k_i = spec.strike / ab
-
-    sqrt_tau = np.sqrt(tau)
-    g2 = (
-        np.log(pair.asset_i.spot)
-        - (sig_i / (a * sig_j)) * np.log(k_i)
-        + (spec.rate - 0.5 * sig_i**2) * tau
-    ) / (sig_i * sqrt_tau)
-
-    log_spot = np.log(pair.asset_i.spot)
-    drift = (spec.rate - 0.5 * sig_i**2) * tau
-    vol = sig_i * sqrt_tau
-
     def integrand(w):
-        powered = np.exp(expo * (log_spot + drift + w * vol))
+        powered = np.exp(expo * (log_mean + w * vol))
         return (powered - k_i) * np.exp(-0.5 * w * w)
 
     # The Gaussian kernel times exp(expo*vol*w) peaks at w = expo*vol;
@@ -169,5 +153,5 @@ def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> f
             f"quadrature did not converge: value={value}, abserr={abserr}, "
             f"interval=({-g2}, {upper})"
         )
-    price = ab * np.exp(-spec.rate * tau) / np.sqrt(2.0 * np.pi) * value
+    price = ab * np.exp(-spec.rate * spec.maturity) / np.sqrt(2.0 * np.pi) * value
     return max(price, 0.0)

@@ -4,40 +4,27 @@ alpha is the ratio of the two assets' coefficients of variation
 (sigma/mu); together with the return correlation rho it controls how
 faithfully asset i proxies asset j. The approximation factors into a
 deterministic term A and a stochastic term B driven by two fresh
-independent noises. With the fresh noises replaced by the pair's own
-driving noises the relation is an exact identity, which this module
-exposes as an oracle (`exact_relation_residual`).
+independent noises; `predict_twin` is the one place the relation is
+evaluated. With the fresh noises replaced by the pair's own driving
+noises the relation is an exact identity, which this module exposes as
+an oracle (`exact_relation_residual`).
 """
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .engine import NoiseDraw, TwinPair, terminal_pair
-from .errors import InvalidParameterError, UndefinedAlphaError
-
-
-@dataclass(frozen=True)
-class TwinTerms:
-    """Factorisation of the twin approximation for one horizon.
-
-    a_term is deterministic, b_term stochastic (per replication, possibly
-    an array), exponent = alpha * sigma_j / sigma_i.
-    """
-
-    a_term: float
-    b_term: float | np.ndarray
-    exponent: float
+from .errors import InvalidParameterError
 
 
 def alpha(pair: TwinPair) -> float:
     """Similarity ratio sigma_i*mu_j / (sigma_j*mu_i).
 
     Equals the quotient of the assets' coefficients of variation; 1 for
-    identical twins, and alpha(i,j)*alpha(j,i) = 1 always.
+    identical twins, and alpha(i,j)*alpha(j,i) = 1 always. Defined
+    because TwinPair rejects a zero drift of asset i.
     """
-    if pair.asset_i.mu == 0:
-        raise UndefinedAlphaError("alpha undefined: asset_i has zero drift")
     return pair.asset_i.sigma * pair.asset_j.mu / (pair.asset_j.sigma * pair.asset_i.mu)
 
 
@@ -69,33 +56,28 @@ def stochastic_term(pair: TwinPair, tau: float, draw: NoiseDraw):
     with W = z*sqrt(tau). Identically 1 when (rho, alpha) = (1, 1)."""
     if not tau > 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    return _stochastic_term_from(pair, tau, draw.z_x, draw.z_y)
+    return stochastic_term_from(pair, tau, draw.z_x, draw.z_y)
 
 
-def _stochastic_term_from(pair: TwinPair, tau: float, z_x, z_y):
+def stochastic_term_from(pair: TwinPair, tau: float, z_x, z_y):
+    """B driven by the given unit normals (z_x, z_y) in place of a draw's."""
     a = alpha(pair)
     sig_j = pair.asset_j.sigma
-    sqrt_tau = np.sqrt(tau)
+    # math.sqrt rounds exactly like np.sqrt and is cheaper on loop scalars
+    sqrt_tau = math.sqrt(tau)
     return np.exp(
         sig_j * (1.0 - pair.rho * a) * z_x * sqrt_tau
-        - a * sig_j * np.sqrt(1.0 - pair.rho**2) * z_y * sqrt_tau
+        - a * sig_j * math.sqrt(1.0 - pair.rho**2) * z_y * sqrt_tau
     )
 
 
-def twin_terms(pair: TwinPair, tau: float, draw: NoiseDraw) -> TwinTerms:
-    """Bundle (A, B, exponent) for one horizon and one draw."""
-    return TwinTerms(
-        a_term=deterministic_term(pair, tau),
-        b_term=stochastic_term(pair, tau, draw),
-        exponent=twin_exponent(pair),
-    )
+def predict_twin(pair: TwinPair, tau: float, s_i, b_term):
+    """Predicted S_j after horizon tau: A * B * S_i^(alpha*sigma_j/sigma_i).
 
-
-def predict_twin(s_i_terminal, terms: TwinTerms):
-    """Predicted S_j terminal value: A * B * S_i^exponent."""
-    if np.any(np.less_equal(s_i_terminal, 0)):
-        raise InvalidParameterError("s_i_terminal must be strictly positive")
-    return terms.a_term * terms.b_term * s_i_terminal**terms.exponent
+    b_term is the stochastic term B of one draw (or an array of draws);
+    s_i may be a scalar or an array broadcasting against it.
+    """
+    return deterministic_term(pair, tau) * b_term * s_i ** twin_exponent(pair)
 
 
 def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):
@@ -107,6 +89,5 @@ def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):
     identity, so the residual is pure floating-point noise (<= 1e-12).
     """
     s_i, s_j = terminal_pair(pair, tau, draw)
-    b_shared = _stochastic_term_from(pair, tau, draw.z_j, draw.z_tilde)
-    predicted = deterministic_term(pair, tau) * b_shared * s_i ** twin_exponent(pair)
-    return np.abs(predicted - s_j) / s_j
+    b_shared = stochastic_term_from(pair, tau, draw.z_j, draw.z_tilde)
+    return np.abs(predict_twin(pair, tau, s_i, b_shared) - s_j) / s_j

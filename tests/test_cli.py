@@ -1,13 +1,32 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from twinassets.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(tmp_path, *args, name="out.csv"):
     out = tmp_path / name
     code = main([*args, "--out", str(out)])
     return code, out
+
+
+def exit_code(argv):
+    """Exit status of the console script; argparse exits by SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def readme_commands():
+    """argv of every `twinassets ...` command shown in README.md."""
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("twinassets ")]
 
 
 class TestSimulate:
@@ -161,3 +180,52 @@ class TestConfigAndErrors:
         assert main(["simulate", "--seed", "1", "--steps", "3"]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("t,s_i,s_j,s_j_predicted")
+
+
+class TestFlagsPerSubcommand:
+    # Each flag here used to be accepted and then ignored by the runner.
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--threads", "2"], "--threads"),
+        (["price", "--threads", "2"], "--threads"),
+        (["mape", "--rho", "0.5"], "--rho"),
+        (["mape", "--alpha", "1.1"], "--alpha"),
+        (["mape", "--mu-j", "0.9"], "--mu-j"),
+        (["mape", "--mode", "option", "--horizon", "0.1"], "--horizon"),
+        (["mape", "--mode", "horizon-compare", "--horizon", "0.1"], "--horizon"),
+        (["mape", "--mode", "sigma-sweep", "--sigma-j", "0.5"], "--sigma-j"),
+        (["mape", "--strike", "100"], "--strike"),
+        (["mape", "--mode", "sigma-sweep", "--rate", "0.01"], "--rate"),
+        (["mape", "--mode", "horizon-compare", "--maturity", "1"], "--maturity"),
+        (["mape", "--sigma-j-values", "0.2"], "--sigma-j-values"),
+        (["mape", "--mode", "option", "--sigma-j-values", "0.2"], "--sigma-j-values"),
+    ])
+    def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert exit_code([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_may_set_keys_a_subcommand_does_not_read(self, tmp_path):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(
+            "threads = 2\nsteps = 5\nn = 50\nstrike = 95\nhorizon = 0.01\n"
+            "rho_grid = 0,1\nalpha_grid = 1\nsigma_j_values = 0.3\n"
+        )
+        for command in ("simulate", "price", "mape"):
+            code, out = run(tmp_path, command, "--config", str(cfg), name=f"{command}.out")
+            assert code == 0
+            assert out.stat().st_size > 0
+
+    def test_flag_checked_against_mode_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "option.cfg"
+        cfg.write_text("mode = option\n")
+        code, _ = run(tmp_path, "mape", "--config", str(cfg), "--horizon", "0.1")
+        assert code == 2
+        assert "--horizon" in capsys.readouterr().err
+
+    # --out given last wins over the README's own --out
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_readme_command_runs(self, argv, tmp_path):
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        assert out.stat().st_size > 0

@@ -171,7 +171,7 @@ class TestQuadratureOracle:
 
     def test_deep_itm_limit(self, section3_pair):
         # K -> 0: both routes approach the discounted power-forward value.
-        from twinassets import deterministic_term, twin_terms
+        from twinassets import deterministic_term
 
         spec = OptionSpec(strike=1e-9, maturity=0.25, rate=0.05)
         draw = zero_draw()

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from twinassets import (
     AssetParams,
+    InvalidParameterError,
     NoiseDraw,
     TwinPair,
-    UndefinedAlphaError,
     alpha,
     deterministic_term,
     exact_relation_residual,
     predict_twin,
     stochastic_term,
     terminal_pair,
-    twin_terms,
 )
 
 finite_drift = st.floats(min_value=0.01, max_value=2.0)
@@ -52,11 +51,11 @@ class TestAlpha:
         assert alpha(doubled) == pytest.approx(2 * alpha(section3_pair), rel=1e-15)
 
     def test_zero_drift_undefined(self):
-        # TwinPair rejects mu_i = 0 up front, same error family.
+        # alpha divides by mu_i, so TwinPair rejects mu_i = 0 up front.
         a = AssetParams(mu=0.0, sigma=0.2, spot=50.0)
         b = AssetParams(mu=0.2, sigma=0.2, spot=50.0)
-        with pytest.raises((UndefinedAlphaError, ValueError)):
-            alpha(TwinPair(asset_i=a, asset_j=b, rho=0.0))
+        with pytest.raises(InvalidParameterError):
+            TwinPair(asset_i=a, asset_j=b, rho=0.0)
 
     @given(mu_i=finite_drift, mu_j=finite_drift, sig_i=vol, sig_j=vol,
            s_i=price, s_j=price, rho=corr)
@@ -66,7 +65,8 @@ class TestAlpha:
             asset_j=AssetParams(mu=mu_j, sigma=sig_j, spot=s_j),
             rho=rho,
         )
-        assert alpha(pair) * alpha(pair.swapped()) == pytest.approx(1.0, rel=1e-12)
+        swapped = TwinPair(asset_i=pair.asset_j, asset_j=pair.asset_i, rho=rho)
+        assert alpha(pair) * alpha(swapped) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestDeterministicTerm:
@@ -124,14 +124,14 @@ class TestPredictTwin:
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
         draw = NoiseDraw(z_j=0.4, z_tilde=0.0, z_x=1.2, z_y=-0.3)
         s_i, _ = terminal_pair(pair, 0.5, draw)
-        terms = twin_terms(pair, 0.5, draw)
-        assert predict_twin(s_i, terms) == pytest.approx(s_i, rel=1e-14)
+        b_term = stochastic_term(pair, 0.5, draw)
+        assert predict_twin(pair, 0.5, s_i, b_term) == pytest.approx(s_i, rel=1e-14)
 
     def test_perfect_twin_reproduces_truth_per_path(self, section3_pair):
         draw = NoiseDraw.sample(np.random.default_rng(2), 1000)
         s_i, s_j = terminal_pair(section3_pair, 1 / 252, draw)
-        terms = twin_terms(section3_pair, 1 / 252, draw)
-        predicted = predict_twin(s_i, terms)
+        b_term = stochastic_term(section3_pair, 1 / 252, draw)
+        predicted = predict_twin(section3_pair, 1 / 252, s_i, b_term)
         assert np.max(np.abs(predicted - s_j) / s_j) < 1e-12
 
     def test_positivity(self):
@@ -140,8 +140,8 @@ class TestPredictTwin:
             pair = random_pair(rng)
             draw = NoiseDraw.sample(rng)
             s_i, _ = terminal_pair(pair, rng.uniform(0.01, 2.0), draw)
-            terms = twin_terms(pair, 0.5, draw)
-            assert predict_twin(s_i, terms) > 0
+            b_term = stochastic_term(pair, 0.5, draw)
+            assert predict_twin(pair, 0.5, s_i, b_term) > 0
 
 
 class TestExactRelation:
