@@ -4,10 +4,10 @@ alpha is the ratio of the two assets' coefficients of variation
 (sigma/mu); together with the return correlation rho it controls how
 faithfully asset i proxies asset j. The approximation factors into a
 deterministic term A and a stochastic term B driven by two fresh
-independent noises; `predict_twin` is the one place the relation is
-evaluated. With the fresh noises replaced by the pair's own driving
-noises the relation is an exact identity, which this module exposes as
-an oracle (`exact_relation_residual`).
+independent noises; `predict_twin` evaluates the relation. With the
+fresh noises replaced by the pair's own driving noises it is an exact
+identity, which `exact_relation_residual` checks on the same terms in
+log space, where S_i^e cannot overflow.
 """
 
 import math
@@ -33,9 +33,9 @@ def twin_exponent(pair: TwinPair) -> float:
     return alpha(pair) * pair.asset_j.sigma / pair.asset_i.sigma
 
 
-def deterministic_term(pair: TwinPair, tau: float) -> float:
+def deterministic_term(pair: TwinPair, tau: float, log: bool = False) -> float:
     """A = spot_j * spot_i^(-alpha*sigma_j/sigma_i)
-           * exp(sigma_j*(alpha*sigma_i - sigma_j)*tau/2)."""
+           * exp(sigma_j*(alpha*sigma_i - sigma_j)*tau/2), or log A if `log`."""
     if not tau > 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
     a = alpha(pair)
@@ -44,11 +44,12 @@ def deterministic_term(pair: TwinPair, tau: float) -> float:
     # log-space form: exact A = 1 for identical twins (the log terms cancel
     # to zero), which keeps the twin price consistent with Black-Scholes to
     # machine precision in that limit
-    return np.exp(
+    log_a = (
         np.log(pair.asset_j.spot)
         - expo * np.log(pair.asset_i.spot)
         + 0.5 * sig_j * (a * sig_i - sig_j) * tau
     )
+    return log_a if log else np.exp(log_a)
 
 
 def stochastic_term(pair: TwinPair, tau: float, draw: NoiseDraw):
@@ -59,16 +60,17 @@ def stochastic_term(pair: TwinPair, tau: float, draw: NoiseDraw):
     return stochastic_term_from(pair, tau, draw.z_x, draw.z_y)
 
 
-def stochastic_term_from(pair: TwinPair, tau: float, z_x, z_y):
-    """B driven by the given unit normals (z_x, z_y) in place of a draw's."""
+def stochastic_term_from(pair: TwinPair, tau: float, z_x, z_y, log: bool = False):
+    """B driven by the given unit normals (z_x, z_y) in place of a draw's; log B if `log`."""
     a = alpha(pair)
     sig_j = pair.asset_j.sigma
     # math.sqrt rounds exactly like np.sqrt and is cheaper on loop scalars
     sqrt_tau = math.sqrt(tau)
-    return np.exp(
+    log_b = (
         sig_j * (1.0 - pair.rho * a) * z_x * sqrt_tau
         - a * sig_j * math.sqrt(1.0 - pair.rho**2) * z_y * sqrt_tau
     )
+    return log_b if log else np.exp(log_b)
 
 
 def predict_twin(pair: TwinPair, tau: float, s_i, b_term):
@@ -81,7 +83,7 @@ def predict_twin(pair: TwinPair, tau: float, s_i, b_term):
 
 
 def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):
-    """Relative gap of the exact twin relation under shared noise.
+    """Relative gap of the exact twin relation under shared noise, in log space.
 
     Simulates (S_i, S_j) from (z_j, z_tilde), then evaluates the
     approximation with the stochastic term driven by those SAME noises
@@ -89,5 +91,5 @@ def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):
     identity, so the residual is pure floating-point noise (<= 1e-12).
     """
     s_i, s_j = terminal_pair(pair, tau, draw)
-    b_shared = stochastic_term_from(pair, tau, draw.z_j, draw.z_tilde)
-    return np.abs(predict_twin(pair, tau, s_i, b_shared) - s_j) / s_j
+    log_gap = deterministic_term(pair, tau, log=True) + twin_exponent(pair) * np.log(s_i) - np.log(s_j)
+    return np.abs(np.expm1(log_gap + stochastic_term_from(pair, tau, draw.z_j, draw.z_tilde, log=True)))

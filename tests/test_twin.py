@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinassets import (
@@ -169,6 +169,9 @@ class TestExactRelation:
            s_i=price, s_j=price, rho=corr,
            tau=st.floats(min_value=1e-3, max_value=3.0),
            z=st.tuples(*[st.floats(min_value=-4, max_value=4)] * 4))
+    # S_i^e = 40**200 overflows to inf here while S_j stays finite
+    @example(mu_i=0.01, mu_j=2.0, sig_i=0.5, sig_j=1.0, s_i=40.0, s_j=1.0,
+             rho=0.0, tau=1.0, z=(0.0, 0.0, 0.0, 0.0))
     def test_identity_property(self, mu_i, mu_j, sig_i, sig_j, s_i, s_j, rho, tau, z):
         pair = TwinPair(
             asset_i=AssetParams(mu=mu_i, sigma=sig_i, spot=s_i),
