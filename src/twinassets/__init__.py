@@ -17,9 +17,16 @@ from .errors import (
 )
 from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, TwinPriceResult, bs_call, twin_call, twin_call_quadrature
-from .twin import alpha, deterministic_term, exact_relation_residual, predict_twin, stochastic_term
+from .twin import (
+    alpha,
+    deterministic_term,
+    exact_relation_residual,
+    log_ratio,
+    predict_twin,
+    stochastic_term,
+)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AssetParams",
@@ -39,6 +46,7 @@ __all__ = [
     "bs_call",
     "deterministic_term",
     "exact_relation_residual",
+    "log_ratio",
     "log_return",
     "mape_asset",
     "mape_option",

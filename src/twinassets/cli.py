@@ -155,6 +155,14 @@ def _resolve_threads(value: str) -> int:
     return threads
 
 
+def _replications(opts: dict, default: int) -> int:
+    """--n, or `default` only when it is unset: an explicit 0 is an error."""
+    n = default if opts["n"] is None else opts["n"]
+    if n < 1:
+        raise InvalidParameterError(f"--n must be >= 1, got {n}")
+    return n
+
+
 def _build_pair(opts: dict) -> TwinPair:
     mu_j = opts["mu_j"]
     if opts["alpha"] is not None:
@@ -212,7 +220,7 @@ def run_simulate(opts: dict) -> str:
 def run_price(opts: dict) -> str:
     pair = _build_pair(opts)
     spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-    n = opts["n"] or 10000
+    n = _replications(opts, 10000)
 
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     rng = substream(opts["seed"], STREAM_PRICE)
@@ -237,7 +245,7 @@ def run_mape(opts: dict) -> str:
         raise InvalidParameterError(f"unknown mape mode {mode!r}")
     pair = _build_pair(opts)
     threads = _resolve_threads(opts["threads"])
-    n = opts["n"] or _MODE_DEFAULT_N[mode]
+    n = _replications(opts, _MODE_DEFAULT_N[mode])
     rho_values = _parse_values(opts["rho_grid"])
     alpha_values = _parse_values(opts["alpha_grid"])
 

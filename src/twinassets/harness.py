@@ -6,9 +6,11 @@ through mu_j only). Asset experiments compare the twin prediction of the
 simulated terminal value against the truth; option experiments compare
 per-replication twin call prices against a fixed Black-Scholes benchmark.
 
-Each cell draws its noise from a substream keyed by (master seed, stream,
-rho index, alpha index), so grids are bit-identical no matter how many
-threads execute them or in which order.
+Every cell of a grid reads the same draw of n replications, taken once
+per grid from the substream (master seed, stream): common random numbers,
+so differences between cells carry little Monte Carlo noise. A cell's
+value depends only on the seed, n and its own (rho, alpha), never on the
+rest of the grid, the thread count or the schedule.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -16,11 +18,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import AssetParams, NoiseDraw, TwinPair, terminal_pair
-from .errors import InvalidParameterError
+from .engine import AssetParams, NoiseDraw, TwinPair
+from .errors import InvalidParameterError, NumericalError
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
-from .twin import predict_twin, stochastic_term
+from .twin import log_ratio
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class MapeGrid:
     """MAPE surface (percent) indexed (rho_index, alpha_index), with
-    matching Monte Carlo standard errors and the spec that produced it."""
+    matching Monte Carlo standard errors and the spec that produced it.
+    A non-finite value or error is a NumericalError naming its cell."""
 
     grid: np.ndarray
     spec: GridSpec
@@ -60,6 +63,14 @@ class MapeGrid:
         expected = (len(self.spec.rho_values), len(self.spec.alpha_values))
         if self.grid.shape != expected or self.standard_errors.shape != expected:
             raise InvalidParameterError(f"grid shape must be {expected}")
+        bad = np.argwhere(~(np.isfinite(self.grid) & np.isfinite(self.standard_errors)))
+        if len(bad):
+            l, m = bad[0]
+            raise NumericalError(
+                f"non-finite MAPE at rho={self.spec.rho_values[l]!r}, "
+                f"alpha={self.spec.alpha_values[m]!r}: "
+                f"mape={self.grid[l, m]}, se={self.standard_errors[l, m]}"
+            )
         if np.any(self.grid < 0):
             raise InvalidParameterError("MAPE values must be >= 0")
 
@@ -113,18 +124,19 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
 def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     """Asset-prediction MAPE: 100/N * sum |S'_j - S_j| / S_j per cell.
 
-    Each replication simulates the correlated pair over the horizon, then
-    predicts S_j from S_i with fresh independent noises (z_x, z_y).
+    Each replication simulates the correlated pair over the horizon from
+    (z_j, z_tilde) and predicts S_j from S_i with the fresh noises
+    (z_x, z_y). The relative error is |expm1| of `twin.log_ratio`, which
+    reads the shared draw only through u = z_x - z_j and v = z_y - z_tilde,
+    formed once per grid.
     """
     tau = grid.horizon
+    draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
+    u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
 
     def cell(l: int, m: int) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        rng = substream(grid.master_seed, STREAM_ASSET_MAPE, l, m)
-        draw = NoiseDraw.sample(rng, grid.n_replications)
-        s_i, s_j = terminal_pair(pair, tau, draw)
-        predicted = predict_twin(pair, tau, s_i, stochastic_term(pair, tau, draw))
-        return _mape_from_ape(np.abs(predicted - s_j) / s_j)
+        return _mape_from_ape(np.abs(np.expm1(log_ratio(pair, tau, u, v))))
 
     return _run_grid(grid, cell, threads)
 
@@ -133,16 +145,15 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     """Option-pricing MAPE: 100/N * sum |c'_j - c_j| / c_j per cell.
 
     The benchmark c_j is the Black-Scholes price of the call on asset j,
-    computed once; only the twin estimate varies per replication (fresh
-    (z_x, z_y) each time). The grid horizon is ignored here: the noises in
-    the twin price live over the option maturity.
+    computed once; only the twin estimate varies per replication, through
+    the (z_x, z_y) of the grid's shared draw. The grid horizon is ignored
+    here: the noises in the twin price live over the option maturity.
     """
     benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
+    draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
 
     def cell(l: int, m: int) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        rng = substream(grid.master_seed, STREAM_OPTION_MAPE, l, m)
-        draw = NoiseDraw.sample(rng, grid.n_replications)
         result = twin_call(pair, spec, draw)
         return _mape_from_ape(np.abs(result.price - benchmark) / benchmark)
 
@@ -152,8 +163,8 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
 def sigma_sweep(base: TwinPair, sigmas_j, grid: GridSpec, threads: int = 1) -> list[MapeGrid]:
     """Asset MAPE grids for several target volatilities sigma_j.
 
-    Substreams do not depend on sigma_j, so repeated values give identical
-    grids and cross-sigma comparisons share their noise.
+    The shared draw does not depend on sigma_j, so repeated values give
+    identical grids and cross-sigma comparisons share their noise.
     """
     if any(s <= 0 for s in sigmas_j):
         raise InvalidParameterError("all sigma_j values must be > 0")

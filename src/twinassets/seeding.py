@@ -1,9 +1,9 @@
 """Deterministic substream derivation for reproducible parallel Monte Carlo.
 
 Every consumer of randomness derives its own `numpy` Generator from the
-master seed plus an integer path (stream id, grid indices, ...). Results
-therefore depend only on the seed and the logical position of the work
-item, never on thread count or execution order.
+master seed plus an integer path (a stream id per use). Results therefore
+depend only on the seed and the stream, never on thread count or
+execution order.
 """
 
 import numpy as np

@@ -4,10 +4,12 @@ alpha is the ratio of the two assets' coefficients of variation
 (sigma/mu); together with the return correlation rho it controls how
 faithfully asset i proxies asset j. The approximation factors into a
 deterministic term A and a stochastic term B driven by two fresh
-independent noises; `predict_twin` evaluates the relation. With the
-fresh noises replaced by the pair's own driving noises it is an exact
-identity, which `exact_relation_residual` checks on the same terms in
-log space, where S_i^e cannot overflow.
+independent noises; `predict_twin` evaluates the relation and
+`log_ratio` its log error against the simulated truth, in which drifts
+and spots cancel. With the fresh noises replaced by the pair's own
+driving noises the relation is an exact identity, which
+`exact_relation_residual` checks on the same terms in log space, where
+S_i^e cannot overflow.
 """
 
 import math
@@ -80,6 +82,24 @@ def predict_twin(pair: TwinPair, tau: float, s_i, b_term):
     s_i may be a scalar or an array broadcasting against it.
     """
     return deterministic_term(pair, tau) * b_term * s_i ** twin_exponent(pair)
+
+
+def log_ratio(pair: TwinPair, tau: float, u, v):
+    """log(S'_j / S_j) of the twin prediction against the simulated truth.
+
+    u = z_x - z_j and v = z_y - z_tilde are differences of one draw's
+    fresh and driving noises. Drifts and spots cancel exactly, leaving
+    sigma_j*sqrt(tau) * ((1 - rho*alpha)*u - alpha*sqrt(1-rho^2)*v),
+    so |expm1| of it is the relative prediction error. Identically 0
+    when (rho, alpha) = (1, 1).
+    """
+    if not tau > 0:
+        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    a = alpha(pair)
+    scale = pair.asset_j.sigma * math.sqrt(tau)
+    kappa_u = scale * (1.0 - pair.rho * a)
+    kappa_v = scale * a * math.sqrt(1.0 - pair.rho**2)
+    return kappa_u * u - kappa_v * v
 
 
 def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):

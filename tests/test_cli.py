@@ -90,6 +90,12 @@ class TestPrice:
         code, _ = run(tmp_path, "price", "--sigma-j", "-0.2")
         assert code == 2
 
+    def test_zero_n_usage_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "price", "--n", "0")
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMape:
     def test_asset_mode_row_count(self, tmp_path):
@@ -145,6 +151,20 @@ class TestMape:
     def test_negative_alpha_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "mape", "--mode", "asset", "--alpha-grid=-0.5,1")
         assert code == 2
+
+    def test_zero_n_usage_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "mape", "--n", "0", "--rho-grid", "1", "--alpha-grid", "1")
+        assert code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_cell_numerical_error(self, tmp_path, capsys):
+        # sigma_j = 30 over two years: e^(s^2/2) overflows, so every cell is inf or nan
+        code, out = run(tmp_path, "mape", "--rho-grid", "0", "--alpha-grid", "1,5",
+                        "--sigma-j", "30", "--horizon", "2")
+        assert code == 4
+        assert "rho=0.0, alpha=1.0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigAndErrors:

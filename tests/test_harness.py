@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,17 +10,27 @@ from twinassets import (
     AssetParams,
     GridSpec,
     InvalidParameterError,
+    MapeGrid,
+    NoiseDraw,
+    NumericalError,
     OptionSpec,
     TwinPair,
     alpha,
     alpha_to_mu_j,
+    log_ratio,
     mape_asset,
     mape_option,
+    predict_twin,
     sigma_sweep,
+    stochastic_term,
+    terminal_pair,
 )
 
 ONE_DAY = 1 / 252
 ONE_MONTH = 21 / 252
+# the README surface
+README_RHOS = np.linspace(-1, 1, 21)
+README_ALPHAS = np.linspace(0.5, 1.5, 21)
 
 
 def grid(rhos, alphas, n=10000, horizon=ONE_DAY, seed=7):
@@ -99,6 +112,69 @@ class TestMapeAsset:
         assert result.standard_errors.shape == (2, 3)
         assert result.spec == g
         assert np.all(result.grid >= 0)
+
+
+def asset_mape_closed_form(sigma_j, tau, rho, alpha_value):
+    """100*E|e^X - 1| for X ~ N(0, s^2), s^2 = 2*sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2):
+    100*e^(s^2/2)*(2*Phi(s) - 1), with 2*Phi(s) - 1 = erf(s/sqrt(2))."""
+    # 1 - 2*rho*alpha + alpha^2 as a sum of non-negative terms
+    s2 = 2 * sigma_j**2 * tau * ((1 - alpha_value) ** 2 + 2 * alpha_value * (1 - rho))
+    return 100 * math.exp(s2 / 2) * math.erf(math.sqrt(s2) / math.sqrt(2))
+
+
+class TestLogRatioKernel:
+    @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH, 1.0])
+    def test_matches_unreduced_relation(self, section3_pair, tau):
+        # per replication, the reduced kernel against A*B*S_i^e vs the simulated S_j
+        draw = NoiseDraw.sample(np.random.default_rng(11), 500)
+        u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
+        worst = 0.0
+        for rho in README_RHOS:
+            for alpha_value in README_ALPHAS:
+                mu_j = alpha_to_mu_j(alpha_value, 0.4, 0.2, 0.4)
+                pair = replace(section3_pair, asset_j=replace(section3_pair.asset_j, mu=mu_j),
+                               rho=float(rho))
+                s_i, s_j = terminal_pair(pair, tau, draw)
+                predicted = predict_twin(pair, tau, s_i, stochastic_term(pair, tau, draw))
+                expected = np.abs(predicted - s_j) / s_j
+                ape = np.abs(np.expm1(log_ratio(pair, tau, u, v)))
+                worst = max(worst, float(np.max(np.abs(ape - expected) / (1 + expected))))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_readme_grid_within_6_se_of_closed_form(self, section3_pair, seed):
+        result = mape_asset(section3_pair, grid(README_RHOS, README_ALPHAS, n=40000, seed=seed))
+        for l, rho in enumerate(result.spec.rho_values):
+            for m, alpha_value in enumerate(result.spec.alpha_values):
+                reference = asset_mape_closed_form(0.4, ONE_DAY, rho, alpha_value)
+                value, se = result.grid[l, m], result.standard_errors[l, m]
+                assert abs(value - reference) <= 6 * se, (rho, alpha_value, value, reference, se)
+        assert result.grid[20, 10] == 0.0  # (rho, alpha) = (1, 1)
+        assert result.standard_errors[20, 10] == 0.0
+
+    @pytest.mark.parametrize("mode", ["asset", "option"])
+    def test_cell_independent_of_grid(self, section3_pair, mode):
+        # common random numbers: a cell reads the same draw in any grid
+        def run(g):
+            if mode == "asset":
+                return mape_asset(section3_pair, g)
+            return mape_option(section3_pair, TestMapeOption.SPEC, g)
+
+        big = run(grid(np.linspace(-1, 1, 5), np.linspace(0.5, 1.5, 5), n=3000))
+        one = run(grid([big.spec.rho_values[3]], [big.spec.alpha_values[1]], n=3000))
+        assert big.grid[3, 1].tobytes() == one.grid[0, 0].tobytes()
+        assert big.standard_errors[3, 1].tobytes() == one.standard_errors[0, 0].tobytes()
+
+
+class TestMapeGrid:
+    @pytest.mark.parametrize("value, err", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)])
+    def test_non_finite_cell_named(self, value, err):
+        g = grid([0.0, 0.5], [1.0, 5.0])
+        mape = np.ones((2, 2))
+        se = np.ones((2, 2))
+        mape[1, 0], se[1, 0] = value, err
+        with pytest.raises(NumericalError, match=r"rho=0\.5, alpha=1\.0"):
+            MapeGrid(grid=mape, spec=g, standard_errors=se)
 
 
 class TestMapeOption:
