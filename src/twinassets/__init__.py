@@ -16,7 +16,14 @@ from .errors import (
     UnsupportedSimilarityError,
 )
 from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
-from .pricing import OptionSpec, TwinPriceResult, bs_call, twin_call, twin_call_quadrature
+from .pricing import (
+    OptionSpec,
+    TwinPriceResult,
+    bs_call,
+    normal_cdf,
+    twin_call,
+    twin_call_quadrature,
+)
 from .twin import (
     alpha,
     deterministic_term,
@@ -50,6 +57,7 @@ __all__ = [
     "log_return",
     "mape_asset",
     "mape_option",
+    "normal_cdf",
     "predict_twin",
     "sigma_sweep",
     "simulate_paths",

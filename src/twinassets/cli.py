@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, NumericalError, TwinAssetsError
 from .harness import GridSpec, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
-from .twin import predict_twin, stochastic_term_from
+from .twin import alpha, predict_twin, stochastic_term_from
 
 # Time units are years under a 252-trading-day convention.
 TRADING_DAYS_PER_YEAR = 252
@@ -207,6 +207,13 @@ def run_simulate(opts: dict) -> str:
         # the walks already carry the sqrt(t) scaling, so B takes tau = 1
         b = stochastic_term_from(pair, 1.0, wx_k, wy_k)
         predicted[k] = predict_twin(pair, paths.times[k], paths.path_i[k], b)
+    bad = np.flatnonzero(~np.isfinite(predicted))
+    if len(bad):
+        k = bad[0]
+        raise NumericalError(
+            f"non-finite twin prediction at step {k}, t={_fmt(paths.times[k])}: "
+            f"s_j_predicted={predicted[k]} (alpha = {alpha(pair)!r})"
+        )
 
     lines = ["t,s_i,s_j,s_j_predicted"]
     for k in range(steps + 1):
@@ -228,6 +235,11 @@ def run_price(opts: dict) -> str:
     prices = twin_call(pair, spec, draw).price
     mean = float(np.mean(prices))
     se = float(np.std(prices, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(se)):
+        raise NumericalError(
+            f"non-finite twin price at alpha = {alpha(pair)!r}, rho = {pair.rho!r}: "
+            f"mean={mean}, se={se}"
+        )
 
     lines = [
         f"bs_price={_fmt(bs_price)}",

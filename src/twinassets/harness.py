@@ -109,15 +109,21 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     se = np.empty((n_rho, n_alpha))
     cells = [(l, m) for l in range(n_rho) for m in range(n_alpha)]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda lm: cell_fn(*lm), cells))
-    else:
-        results = [cell_fn(*lm) for lm in cells]
+    def run_cells(share):
+        # each cell writes only its own (l, m) slot, so workers never collide
+        for l, m in share:
+            mape[l, m], se[l, m] = cell_fn(l, m)
 
-    for (l, m), (value, err) in zip(cells, results):
-        mape[l, m] = value
-        se[l, m] = err
+    if threads > 1:
+        # One contiguous run of cells per worker: a cell takes well under a
+        # millisecond, so handing cells over one at a time costs more than
+        # it saves. Results are consumed in grid order, so a failing grid
+        # raises the error of its first failing cell at any thread count.
+        size = -(-len(cells) // threads)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run_cells, [cells[k : k + size] for k in range(0, len(cells), size)]))
+    else:
+        run_cells(cells)
     return MapeGrid(grid=mape, spec=grid, standard_errors=se)
 
 

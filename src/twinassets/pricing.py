@@ -11,13 +11,22 @@ over draws is the caller's job (see the experiment harness).
 `twin_call_quadrature` evaluates the same price by numerically integrating
 the truncated lognormal expectation, serving as an independent oracle for
 the closed form.
+
+`normal_cdf` is the one standard normal CDF Phi of both closed forms:
+`scipy.special.ndtr` on float64, bit-identical to `scipy.stats.norm.cdf`
+without that method's argument checks and support masks.
+`scipy.stats.norm` is still imported and bound as `norm`, and `quad` at
+module level, only because the benchmark's traced run reads the import
+times of `scipy.stats` and `scipy.integrate` (`bench/run.py`) and rebinds
+`pricing.norm` (`bench/spans.py`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.special import ndtr
+from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/spans.py
 
 from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError, UnsupportedSimilarityError
@@ -54,6 +63,15 @@ class TwinPriceResult:
     k_i: float | np.ndarray
 
 
+def normal_cdf(x):
+    """Standard normal CDF, elementwise: `scipy.special.ndtr` on x as float64.
+
+    Bit-identical to `scipy.stats.norm.cdf(x)`, value and type (a numpy
+    float64 for scalar input), including at +-0.0, +-inf and nan.
+    """
+    return ndtr(np.asarray(x, dtype=np.float64))
+
+
 def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     """Black-Scholes price of a European call.
 
@@ -72,7 +90,7 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
         sigma * sqrt_tau
     )
     d1 = d2 + sigma * sqrt_tau
-    return spot * norm.cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * norm.cdf(d2)
+    return spot * normal_cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(d2)
 
 
 def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
@@ -113,10 +131,17 @@ def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> TwinPriceRes
     expo = twin_exponent(pair)
     g1 = g2 + a * sig_j * np.sqrt(tau)
 
+    try:
+        spot_power = pair.asset_i.spot**expo
+    except OverflowError:
+        raise NumericalError(
+            f"twin call overflows: spot_i**e is out of float range at alpha = {a!r}, "
+            f"e = alpha*sigma_j/sigma_i = {expo!r}"
+        ) from None
     growth = np.exp((expo - 1.0) * (spec.rate + 0.5 * a * sig_j * sig_i) * tau)
     price = (
-        ab * pair.asset_i.spot**expo * growth * norm.cdf(g1)
-        - ab * k_i * np.exp(-spec.rate * tau) * norm.cdf(g2)
+        ab * spot_power * growth * normal_cdf(g1)
+        - ab * k_i * np.exp(-spec.rate * tau) * normal_cdf(g2)
     )
     price = np.maximum(price, 0.0)
     return TwinPriceResult(price=price, g1=g1, g2=g2, k_i=k_i)

@@ -55,6 +55,15 @@ class TestSimulate:
         _, out2 = run(tmp_path, "simulate", "--seed", "10", name="b.csv")
         assert out1.read_bytes() != out2.read_bytes()
 
+    def test_non_finite_prediction_numerical_error(self, capsys):
+        # e = alpha*sigma_j/sigma_i = 800: S_i**e overflows from the first step on
+        code = main(["simulate", "--alpha", "400", "--steps", "5"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "step 1, t=0.003968253968253968" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestPrice:
     def test_identical_twins_zero_se(self, tmp_path):
@@ -89,6 +98,28 @@ class TestPrice:
     def test_invalid_sigma_usage_error(self, tmp_path):
         code, _ = run(tmp_path, "price", "--sigma-j", "-0.2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        "price --alpha 40 --rho 0 --sigma-i 0.05 --sigma-j 3 --maturity 2",
+        "mape --mode option --rho-grid 0 --alpha-grid 40 --sigma-i 0.05 --sigma-j 3 "
+        "--maturity 2 --n 100",
+    ])
+    def test_overflowing_twin_call_numerical_error(self, argv, capsys):
+        # e = alpha*sigma_j/sigma_i = 2400: spot_i**e is out of float range
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "alpha = 39.99" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_mean_numerical_error(self, capsys):
+        # sigma_j = 30 over five years: the prices overflow to inf - inf = nan
+        code = main("price --alpha 1 --rho 0 --sigma-j 30 --maturity 5 --n 100".split())
+        captured = capsys.readouterr()
+        assert code == 4
+        assert "non-finite twin price at alpha = 1.0, rho = 0.0" in captured.err
+        assert captured.out == ""
 
     def test_zero_n_usage_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "price", "--n", "0")

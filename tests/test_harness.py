@@ -166,6 +166,40 @@ class TestLogRatioKernel:
         assert big.standard_errors[3, 1].tobytes() == one.standard_errors[0, 0].tobytes()
 
 
+class TestThreadSplit:
+    @pytest.mark.parametrize("mode", ["asset", "option"])
+    @pytest.mark.parametrize(
+        "rhos, alphas, threads",
+        # 3 and 7 workers split 20 cells unevenly; 4 workers share one cell
+        [((-1, -0.5, 0.5, 1), (0.6, 0.8, 1.0, 1.2, 1.4), t) for t in (2, 3, 7)]
+        + [((0.5,), (1.1,), 4)],
+    )
+    def test_byte_identical_to_one_thread(self, section3_pair, mode, rhos, alphas, threads):
+        def run(t):
+            g = grid(rhos, alphas, n=2000)
+            if mode == "asset":
+                return mape_asset(section3_pair, g, threads=t)
+            return mape_option(section3_pair, TestMapeOption.SPEC, g, threads=t)
+
+        serial, split = run(1), run(threads)
+        assert split.grid.tobytes() == serial.grid.tobytes()
+        assert split.standard_errors.tobytes() == serial.standard_errors.tobytes()
+
+    def test_first_failing_cell_reported_at_any_thread_count(self):
+        # e = alpha*sigma_j/sigma_i is 2400 at alpha = 40 and 3000 at alpha = 50;
+        # S_i**e overflows in both, and grid order reaches alpha = 40 first
+        base = TwinPair(asset_i=AssetParams(mu=0.4, sigma=0.05, spot=80.0),
+                        asset_j=AssetParams(mu=0.8, sigma=3.0, spot=90.0), rho=0.0)
+        spec = OptionSpec(strike=90.0, maturity=2.0, rate=0.05)
+        g = grid([0.0, 0.5], [1.0, 40.0, 50.0], n=100)
+        messages = set()
+        for threads in (1, 2, 3, 6):
+            with pytest.raises(NumericalError, match=r"e = alpha\*sigma_j/sigma_i = 2399\.9") as exc:
+                mape_option(base, spec, g, threads=threads)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+
+
 class TestMapeGrid:
     @pytest.mark.parametrize("value, err", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)])
     def test_non_finite_cell_named(self, value, err):

@@ -2,23 +2,68 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from twinassets import (
     AssetParams,
+    GridSpec,
     InvalidParameterError,
     NoiseDraw,
     OptionSpec,
     TwinPair,
     UnsupportedSimilarityError,
     bs_call,
+    mape_option,
+    normal_cdf,
     twin_call,
     twin_call_quadrature,
 )
+from twinassets import pricing
 from conftest import reference_bs_call
 
 
 def zero_draw():
     return NoiseDraw(0.0, 0.0, 0.0, 0.0)
+
+
+class TestNormalCdf:
+    def test_bit_identical_to_scipy_stats_on_dense_grid(self):
+        x = np.concatenate([
+            np.linspace(-40.0, 40.0, 800_001),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300],
+        ])
+        assert normal_cdf(x).dtype == np.float64
+        assert normal_cdf(x).tobytes() == norm.cdf(x).tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [0.0, -0.0, 1.5, -38.5, 40.0, math.inf, -math.inf, math.nan, 2, np.float64(0.3),
+              np.float32(0.3), np.int16(-3)],
+    )
+    def test_scalar_type_and_value(self, x):
+        got, expected = normal_cdf(x), norm.cdf(x)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    def test_closed_forms_never_call_scipy_stats(self, monkeypatch, section3_pair):
+        spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+        pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
+        draw = NoiseDraw.sample(np.random.default_rng(4), 300)
+        g = GridSpec(rho_values=(0.0, 0.8), alpha_values=(0.9, 1.2), n_replications=300,
+                     horizon=0.25, master_seed=5)
+
+        def values():
+            grid = mape_option(section3_pair, spec, g)
+            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, draw).price.tobytes(),
+                    grid.grid.tobytes(), grid.standard_errors.tobytes())
+
+        expected = values()
+
+        class Raising:
+            def cdf(self, *args, **kwargs):
+                raise AssertionError("scipy.stats.norm.cdf called")
+
+        monkeypatch.setattr(pricing, "norm", Raising())
+        assert values() == expected
 
 
 class TestBsCall:
