@@ -5,7 +5,6 @@ from .engine import (
     NoiseDraw,
     PathPair,
     TwinPair,
-    log_return,
     simulate_paths,
     terminal_pair,
 )
@@ -18,7 +17,6 @@ from .errors import (
 from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import (
     OptionSpec,
-    TwinPriceResult,
     bs_call,
     normal_cdf,
     twin_call,
@@ -28,12 +26,11 @@ from .twin import (
     alpha,
     deterministic_term,
     exact_relation_residual,
-    log_ratio,
     predict_twin,
     stochastic_term,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AssetParams",
@@ -46,15 +43,12 @@ __all__ = [
     "PathPair",
     "TwinAssetsError",
     "TwinPair",
-    "TwinPriceResult",
     "UnsupportedSimilarityError",
     "alpha",
     "alpha_to_mu_j",
     "bs_call",
     "deterministic_term",
     "exact_relation_residual",
-    "log_ratio",
-    "log_return",
     "mape_asset",
     "mape_option",
     "normal_cdf",

@@ -22,7 +22,7 @@ from .errors import InvalidParameterError, NumericalError, TwinAssetsError
 from .harness import GridSpec, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
-from .twin import alpha, predict_twin, stochastic_term_from
+from .twin import alpha, predict_twin, stochastic_term
 
 # Time units are years under a 252-trading-day convention.
 TRADING_DAYS_PER_YEAR = 252
@@ -174,6 +174,9 @@ def _build_pair(opts: dict) -> TwinPair:
     )
 
 
+_SIMULATE_HEADER = ("t", "s_i", "s_j", "s_j_predicted")
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -196,32 +199,32 @@ def run_simulate(opts: dict) -> str:
     # from t=0 over horizon t, with the fresh noises accumulated as
     # independent random walks so the prediction is a coherent path.
     rng = substream(opts["seed"], STREAM_DRAWS)
-    w_x = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))])
-    w_y = np.concatenate([[0.0], np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))])
-
+    w_x = np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))
+    w_y = np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))
+    # the walks already carry the sqrt(t) scaling, so B takes tau = 1
+    log_b = stochastic_term(pair, 1.0, w_x, w_y)
     predicted = np.empty(steps + 1)
     predicted[0] = pair.asset_j.spot
-    # The walks as Python floats give the same IEEE products as numpy
-    # scalars, faster; the lists are freed when the loop ends.
-    for k, (wx_k, wy_k) in enumerate(zip(w_x[1:].tolist(), w_y[1:].tolist()), 1):
-        # the walks already carry the sqrt(t) scaling, so B takes tau = 1
-        b = stochastic_term_from(pair, 1.0, wx_k, wy_k)
-        predicted[k] = predict_twin(pair, paths.times[k], paths.path_i[k], b)
-    bad = np.flatnonzero(~np.isfinite(predicted))
-    if len(bad):
-        k = bad[0]
-        raise NumericalError(
-            f"non-finite twin prediction at step {k}, t={_fmt(paths.times[k])}: "
-            f"s_j_predicted={predicted[k]} (alpha = {alpha(pair)!r})"
-        )
+    predicted[1:] = predict_twin(pair, paths.times[1:], paths.path_i[1:], log_b)
 
-    lines = ["t,s_i,s_j,s_j_predicted"]
-    for k in range(steps + 1):
-        lines.append(
-            f"{_fmt(paths.times[k])},{_fmt(paths.path_i[k])},"
-            f"{_fmt(paths.path_j[k])},{_fmt(predicted[k])}"
+    columns = (paths.times, paths.path_i, paths.path_j, predicted)
+    table = np.column_stack(columns)
+    valid = np.isfinite(table)
+    valid[:, 1:] &= table[:, 1:] > 0
+    bad = np.argwhere(~valid)
+    if len(bad):
+        k, c = bad[0]
+        name = _SIMULATE_HEADER[c]
+        raise NumericalError(
+            f"non-finite or non-positive {name} at step {k}, t={_fmt(paths.times[k])}: "
+            f"{name}={table[k, c]} (alpha = {alpha(pair)!r})"
         )
-    return "\n".join(lines) + "\n"
+    text = [",".join(_SIMULATE_HEADER) + "\n"]
+    # 4096 rows at a time: all rows at once as Python floats add ~10 MiB of peak memory
+    for start in range(0, steps + 1, 4096):
+        rows = zip(*(column[start : start + 4096].tolist() for column in columns))
+        text.append("".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
+    return "".join(text)
 
 
 def run_price(opts: dict) -> str:
@@ -232,7 +235,7 @@ def run_price(opts: dict) -> str:
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     rng = substream(opts["seed"], STREAM_PRICE)
     draw = NoiseDraw.sample(rng, n)
-    prices = twin_call(pair, spec, draw).price
+    prices = twin_call(pair, spec, draw)
     mean = float(np.mean(prices))
     se = float(np.std(prices, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     if not (np.isfinite(mean) and np.isfinite(se)):

@@ -88,14 +88,6 @@ class PathPair:
     path_i: np.ndarray
     path_j: np.ndarray
 
-    def __post_init__(self):
-        if not (len(self.times) == len(self.path_i) == len(self.path_j)):
-            raise InvalidParameterError("times and paths must have equal length")
-        if np.any(np.diff(self.times) <= 0):
-            raise InvalidParameterError("times must be strictly increasing")
-        if np.any(self.path_i <= 0) or np.any(self.path_j <= 0):
-            raise InvalidParameterError("all prices must be strictly positive")
-
 
 def gbm_terminal(params: AssetParams, tau: float, z):
     """Exact lognormal terminal value after horizon tau given unit normal z."""
@@ -143,9 +135,3 @@ def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPa
     path_j = pair.asset_j.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_j)]))
     return PathPair(times=times, path_i=path_i, path_j=path_j)
 
-
-def log_return(s_end, s_start):
-    """Continuously compounded return ln(s_end / s_start)."""
-    if np.any(np.less_equal(s_end, 0)) or np.any(np.less_equal(s_start, 0)):
-        raise InvalidParameterError("prices must be strictly positive")
-    return np.log(s_end / s_start)

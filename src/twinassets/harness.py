@@ -22,7 +22,7 @@ from .engine import AssetParams, NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
-from .twin import log_ratio
+from .twin import stochastic_term
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,10 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
 
     Each replication simulates the correlated pair over the horizon from
     (z_j, z_tilde) and predicts S_j from S_i with the fresh noises
-    (z_x, z_y). The relative error is |expm1| of `twin.log_ratio`, which
-    reads the shared draw only through u = z_x - z_j and v = z_y - z_tilde,
-    formed once per grid.
+    (z_x, z_y). log(S'_j / S_j) is the stochastic term log B at
+    u = z_x - z_j and v = z_y - z_tilde (see `twin.stochastic_term`), so
+    the relative error is |expm1| of it, and the shared draw is read only
+    through u and v, formed once per grid.
     """
     tau = grid.horizon
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
@@ -142,7 +143,7 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
 
     def cell(l: int, m: int) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        return _mape_from_ape(np.abs(np.expm1(log_ratio(pair, tau, u, v))))
+        return _mape_from_ape(np.abs(np.expm1(stochastic_term(pair, tau, u, v))))
 
     return _run_grid(grid, cell, threads)
 
@@ -160,8 +161,7 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
 
     def cell(l: int, m: int) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        result = twin_call(pair, spec, draw)
-        return _mape_from_ape(np.abs(result.price - benchmark) / benchmark)
+        return _mape_from_ape(np.abs(twin_call(pair, spec, draw) - benchmark) / benchmark)
 
     return _run_grid(grid, cell, threads)
 

@@ -1,12 +1,12 @@
 """Black-Scholes call pricing and the twin-asset call approximation.
 
 The twin price values a call on the (nontraded) asset j through its proxy
-asset i: the payoff is rewritten as A*B*((S_i^T)^(alpha*sigma_j/sigma_i)
-- K_i)^+ with transformed strike K_i = K_j/(A*B), and the risk-neutral
-expectation over S_i^T is solved in closed form with the d1/d2 analogues
-g1 and g2 (g1 = g2 + alpha*sigma_j*sqrt(tau)). Because B is stochastic,
-the closed form is conditional on one draw of its two noises; averaging
-over draws is the caller's job (see the experiment harness).
+asset i: the payoff is rewritten as (A*B*(S_i^T)^(alpha*sigma_j/sigma_i)
+- K_j)^+, and the risk-neutral expectation over S_i^T is solved in closed
+form with the d1/d2 analogues g1 and g2 (g1 = g2 + alpha*sigma_j*sqrt(tau)),
+every product of the twin relation taken as a sum of logs. Because B is
+stochastic, the closed form is conditional on one draw of its two noises;
+averaging over draws is the caller's job (see the experiment harness).
 
 `twin_call_quadrature` evaluates the same price by numerically integrating
 the truncated lognormal expectation, serving as an independent oracle for
@@ -30,7 +30,7 @@ from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/sp
 
 from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError, UnsupportedSimilarityError
-from .twin import alpha, predict_twin, stochastic_term, twin_exponent
+from .twin import alpha, deterministic_term, stochastic_term, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -46,21 +46,6 @@ class OptionSpec:
             raise InvalidParameterError(f"strike must be > 0, got {self.strike}")
         if not self.maturity > 0:
             raise InvalidParameterError(f"maturity must be > 0, got {self.maturity}")
-
-
-@dataclass(frozen=True)
-class TwinPriceResult:
-    """Twin call price with its intermediate quantities.
-
-    g1 = g2 + alpha*sigma_j*sqrt(tau); k_i = strike/(A*B) is the
-    per-replication transformed strike. Fields are arrays when the draw
-    components are arrays.
-    """
-
-    price: float | np.ndarray
-    g1: float | np.ndarray
-    g2: float | np.ndarray
-    k_i: float | np.ndarray
 
 
 def normal_cdf(x):
@@ -94,12 +79,8 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
 
 
 def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
-    """alpha, A*B, K_i = K_j/(A*B), g2, and the risk-neutral mean and
-    standard deviation of ln S_i at maturity, for one draw.
-
-    A*B is the twin relation at S_i = 1 (1.0**e is exactly 1), so A is
-    evaluated once per call.
-    """
+    """alpha, log(A*B), g2, and the risk-neutral mean and standard
+    deviation of ln S_i at maturity, for one draw."""
     a = alpha(pair)
     if a <= 0:
         raise UnsupportedSimilarityError(
@@ -107,61 +88,60 @@ def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
         )
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    ab = predict_twin(pair, tau, 1.0, stochastic_term(pair, tau, draw))
-    k_i = spec.strike / ab
+    log_ab = deterministic_term(pair, tau) + stochastic_term(pair, tau, draw.z_x, draw.z_y)
     log_spot = np.log(pair.asset_i.spot)
     drift = (spec.rate - 0.5 * sig_i**2) * tau
     vol = sig_i * np.sqrt(tau)
-    # ln(S_i / K_i^(sig_i/(a*sig_j))) expanded in logs for stability
-    g2 = (log_spot - (sig_i / (a * sig_j)) * np.log(k_i) + drift) / vol
-    return a, ab, k_i, g2, log_spot + drift, vol
+    # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B)
+    g2 = (log_spot - (sig_i / (a * sig_j)) * (np.log(spec.strike) - log_ab) + drift) / vol
+    return a, log_ab, g2, log_spot + drift, vol
 
 
-def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> TwinPriceResult:
+def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
     """Closed-form twin call price conditional on one draw of (z_x, z_y).
 
-    c ~ A*B*(S_i)^e * exp((e-1)*(r + alpha*sigma_j*sigma_i/2)*tau)*N(g1)
-        - A*B*K_i*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
-    with K_i = K_j/(A*B) recomputed per draw since B is stochastic.
-    Tiny negative closed-form values from cancellation are clipped to 0.
+    c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
+    F = exp(log A + log B + e*log S_i + (e-1)*(r + alpha*sigma_j*sigma_i/2)*tau),
+    with g1 = g2 + alpha*sigma_j*sqrt(tau); an array of prices when the
+    draw components are arrays. F is taken as one exp of a log sum, so
+    neither S_i^e nor A*B has to be representable on its own. Tiny
+    negative closed-form values from cancellation are clipped to 0.
     """
-    a, ab, k_i, g2, _, _ = _twin_setup(pair, spec, draw)
+    a, log_ab, g2, _, _ = _twin_setup(pair, spec, draw)
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     expo = twin_exponent(pair)
     g1 = g2 + a * sig_j * np.sqrt(tau)
-
-    try:
-        spot_power = pair.asset_i.spot**expo
-    except OverflowError:
-        raise NumericalError(
-            f"twin call overflows: spot_i**e is out of float range at alpha = {a!r}, "
-            f"e = alpha*sigma_j/sigma_i = {expo!r}"
-        ) from None
-    growth = np.exp((expo - 1.0) * (spec.rate + 0.5 * a * sig_j * sig_i) * tau)
-    price = (
-        ab * spot_power * growth * normal_cdf(g1)
-        - ab * k_i * np.exp(-spec.rate * tau) * normal_cdf(g2)
+    # F with one S_i kept out of the exp: identical twins (e = 1,
+    # log A = log B = 0) then give F = S_i exactly, and the price reduces
+    # to bs_call bit for bit.
+    spot_i = pair.asset_i.spot
+    forward = spot_i * np.exp(
+        log_ab + (expo - 1.0) * (np.log(spot_i) + (spec.rate + 0.5 * a * sig_j * sig_i) * tau)
     )
-    price = np.maximum(price, 0.0)
-    return TwinPriceResult(price=price, g1=g1, g2=g2, k_i=k_i)
+    price = (
+        forward * normal_cdf(g1)
+        - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(g2)
+    )
+    return np.maximum(price, 0.0)
 
 
 def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> float:
     """Twin call price via adaptive quadrature of the risk-neutral integral.
 
-    c ~ A*B * exp(-r*tau)/sqrt(2*pi) * int_{-g2}^{inf}
-        [ (S_i * exp((r - sigma_i^2/2)*tau + w*sigma_i*sqrt(tau)))^e - K_i ]
+    c ~ exp(-r*tau)/sqrt(2*pi) * int_{-g2}^{inf}
+        [ A*B*(S_i * exp((r - sigma_i^2/2)*tau + w*sigma_i*sqrt(tau)))^e - K ]
         * exp(-w^2/2) dw
 
+    The first term is evaluated as one exp of its log, kernel included.
     Independent oracle for `twin_call`; agreement to 1e-6 relative.
     """
-    _, ab, k_i, g2, log_mean, vol = _twin_setup(pair, spec, draw)
+    _, log_ab, g2, log_mean, vol = _twin_setup(pair, spec, draw)
     expo = twin_exponent(pair)
 
     def integrand(w):
-        powered = np.exp(expo * (log_mean + w * vol))
-        return (powered - k_i) * np.exp(-0.5 * w * w)
+        kernel = -0.5 * w * w
+        return np.exp(log_ab + expo * (log_mean + w * vol) + kernel) - spec.strike * np.exp(kernel)
 
     # The Gaussian kernel times exp(expo*vol*w) peaks at w = expo*vol;
     # 14 standard deviations beyond the peak bounds the tail far below tol.
@@ -178,5 +158,5 @@ def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> f
             f"quadrature did not converge: value={value}, abserr={abserr}, "
             f"interval=({-g2}, {upper})"
         )
-    price = ab * np.exp(-spec.rate * spec.maturity) / np.sqrt(2.0 * np.pi) * value
+    price = np.exp(-spec.rate * spec.maturity) / np.sqrt(2.0 * np.pi) * value
     return max(price, 0.0)

@@ -1,10 +1,14 @@
+import decimal
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import decimal_predict_twin, decimal_twin_call
+from twinassets import AssetParams, NoiseDraw, OptionSpec, TwinPair, alpha_to_mu_j
 from twinassets.cli import main
+from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,6 +25,23 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def default_pair(alpha, sigma_j=0.4, rho=1.0):
+    """The pair the CLI builds from its defaults and --alpha."""
+    return TwinPair(
+        asset_i=AssetParams(mu=0.4, sigma=0.2, spot=80.0),
+        asset_j=AssetParams(mu=alpha_to_mu_j(alpha, 0.4, 0.2, sigma_j), sigma=sigma_j, spot=90.0),
+        rho=rho,
+    )
+
+
+# A double evaluation of the twin relation's log sum is off from the
+# exact sum by a few roundings of its largest partial sums, so the
+# relative error of its exp is bounded by a small multiple of
+# eps * sum(|log terms|).
+LOG_SUM_ROUNDINGS = 4
+EPS = np.finfo(float).eps
 
 
 def readme_commands():
@@ -56,13 +77,45 @@ class TestSimulate:
         assert out1.read_bytes() != out2.read_bytes()
 
     def test_non_finite_prediction_numerical_error(self, capsys):
-        # e = alpha*sigma_j/sigma_i = 800: S_i**e overflows from the first step on
-        code = main(["simulate", "--alpha", "400", "--steps", "5"])
+        # e = alpha*sigma_j/sigma_i = mu_j/mu_i = 8000: over one year the
+        # log prediction leaves the float range while both paths stay finite
+        code = main(["simulate", "--mu-i", "0.0001", "--dt", "1", "--steps", "5"])
         captured = capsys.readouterr()
         assert code == 4
-        assert "step 1, t=0.003968253968253968" in captured.err
+        assert "non-finite or non-positive s_j_predicted at step 1, t=1:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # mu_j = 800: s_j overflows where the log-space prediction need not
+        ("simulate --mu-j 800 --dt 1 --steps 5",
+         "non-finite or non-positive s_j at step 1, t=1: s_j=inf"),
+        # sigma_j = 30: s_j underflows to 0
+        ("simulate --sigma-j 30 --dt 1 --steps 5",
+         "non-finite or non-positive s_j at step 2, t=2: s_j=0.0"),
+    ])
+    def test_path_out_of_range_numerical_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main([*argv.split(), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_large_exponent_prediction_is_finite(self, capsys):
+        # e = 800: S_i**e alone overflows, the log sum does not
+        assert main(["simulate", "--alpha", "400", "--steps", "5"]) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in capsys.readouterr().out.splitlines()[1:]])
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0)
+        rng = substream(12345, STREAM_DRAWS)
+        w_x = np.cumsum(np.sqrt(1 / 252) * rng.standard_normal(5))
+        w_y = np.cumsum(np.sqrt(1 / 252) * rng.standard_normal(5))
+        pair = default_pair(400.0)
+        for (t, s_i, _, predicted), wx, wy in zip(rows[1:], w_x, w_y):
+            exact, magnitude = decimal_predict_twin(pair, t, s_i, wx, wy)
+            assert abs(predicted - exact) <= LOG_SUM_ROUNDINGS * EPS * magnitude * exact
 
 
 class TestPrice:
@@ -105,21 +158,48 @@ class TestPrice:
         "--maturity 2 --n 100",
     ])
     def test_overflowing_twin_call_numerical_error(self, argv, capsys):
-        # e = alpha*sigma_j/sigma_i = 2400: spot_i**e is out of float range
+        # e = alpha*sigma_j/sigma_i = 2400: the twin forward is out of float range
         code = main(argv.split())
         captured = capsys.readouterr()
         assert code == 4
-        assert "alpha = 39.99" in captured.err
+        expected = {
+            "price": "non-finite twin price at alpha = 39.99",
+            "mape": "non-finite MAPE at rho=0.0, alpha=40.0",
+        }[argv.split()[0]]
+        assert expected in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_non_finite_mean_numerical_error(self, capsys):
-        # sigma_j = 30 over five years: the prices overflow to inf - inf = nan
-        code = main("price --alpha 1 --rho 0 --sigma-j 30 --maturity 5 --n 100".split())
+        # sigma_j = 30 over fifty years: the twin forward overflows
+        code = main("price --alpha 1 --rho 0 --sigma-j 30 --maturity 50 --n 100".split())
         captured = capsys.readouterr()
         assert code == 4
         assert "non-finite twin price at alpha = 1.0, rho = 0.0" in captured.err
         assert captured.out == ""
+
+    def test_wide_volatility_price_is_finite(self, capsys):
+        # sigma_j = 30 over five years: A*B underflows and the growth factor
+        # overflows on their own, but the forward's log sum stays in range
+        code = main("price --alpha 1 --rho 0 --sigma-j 30 --maturity 5 --n 100".split())
+        assert code == 0
+        record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        mean, se = float(record["twin_price_mean"]), float(record["twin_price_se"])
+        assert np.isfinite(mean) and np.isfinite(se)
+
+        spec = OptionSpec(strike=90.0, maturity=5.0, rate=0.05)
+        draw = NoiseDraw.sample(substream(12345, STREAM_PRICE), 100)
+        priced = [decimal_twin_call(default_pair(1.0, sigma_j=30.0, rho=0.0), spec, z_x, z_y)
+                  for z_x, z_y in zip(draw.z_x.tolist(), draw.z_y.tolist())]
+        prices = [price for price, _ in priced]
+        bound = LOG_SUM_ROUNDINGS * EPS * max(magnitude for _, magnitude in priced)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact_mean = sum(prices) / len(prices)
+            exact_se = (sum((p - exact_mean) ** 2 for p in prices) / (len(prices) - 1)
+                        / len(prices)).sqrt()
+        assert abs(mean - float(exact_mean)) <= bound * float(exact_mean)
+        assert abs(se - float(exact_se)) <= bound * float(exact_se)
 
     def test_zero_n_usage_error(self, tmp_path, capsys):
         code, out = run(tmp_path, "price", "--n", "0")

@@ -8,7 +8,6 @@ from twinassets import (
     InvalidParameterError,
     NoiseDraw,
     TwinPair,
-    log_return,
     simulate_paths,
     terminal_pair,
 )
@@ -87,8 +86,8 @@ class TestTerminalPair:
         n = 40000
         draw = NoiseDraw.sample(np.random.default_rng(7), n)
         s_i, s_j = terminal_pair(pair, 1.0, draw)
-        r_i = log_return(s_i, 80.0)
-        r_j = log_return(s_j, 90.0)
+        r_i = np.log(s_i / 80.0)
+        r_j = np.log(s_j / 90.0)
         sample = np.corrcoef(r_i, r_j)[0, 1]
         se = (1 - rho**2) / np.sqrt(n)
         assert abs(sample - rho) < 3 * se
@@ -137,18 +136,6 @@ class TestSimulatePaths:
 
 
 class TestLogReturn:
-    def test_identity(self):
-        assert log_return(80.0, 80.0) == 0.0
-
-    def test_unit_log(self):
-        assert log_return(math.e * 90.0, 90.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidParameterError):
-            log_return(-1.0, 80.0)
-        with pytest.raises(InvalidParameterError):
-            log_return(80.0, 0.0)
-
     def test_moments_match_lognormal_solution(self):
         params = AssetParams(mu=0.25, sigma=0.35, spot=60.0)
         pair = TwinPair(asset_i=params, asset_j=params, rho=0.0)
@@ -156,7 +143,7 @@ class TestLogReturn:
         tau = 0.75
         draw = NoiseDraw.sample(np.random.default_rng(5), n)
         _, s_j = terminal_pair(pair, tau, draw)
-        r = log_return(s_j, 60.0)
+        r = np.log(s_j / 60.0)
         mean_target = (0.25 - 0.5 * 0.35**2) * tau
         var_target = 0.35**2 * tau
         se_mean = np.std(r, ddof=1) / np.sqrt(n)

@@ -17,7 +17,6 @@ from twinassets import (
     TwinPair,
     alpha,
     alpha_to_mu_j,
-    log_ratio,
     mape_asset,
     mape_option,
     predict_twin,
@@ -125,7 +124,8 @@ def asset_mape_closed_form(sigma_j, tau, rho, alpha_value):
 class TestLogRatioKernel:
     @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH, 1.0])
     def test_matches_unreduced_relation(self, section3_pair, tau):
-        # per replication, the reduced kernel against A*B*S_i^e vs the simulated S_j
+        # per replication, the reduced kernel log B(u, v) against the
+        # prediction A*B*S_i^e vs the simulated S_j
         draw = NoiseDraw.sample(np.random.default_rng(11), 500)
         u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
         worst = 0.0
@@ -135,9 +135,9 @@ class TestLogRatioKernel:
                 pair = replace(section3_pair, asset_j=replace(section3_pair.asset_j, mu=mu_j),
                                rho=float(rho))
                 s_i, s_j = terminal_pair(pair, tau, draw)
-                predicted = predict_twin(pair, tau, s_i, stochastic_term(pair, tau, draw))
-                expected = np.abs(predicted - s_j) / s_j
-                ape = np.abs(np.expm1(log_ratio(pair, tau, u, v)))
+                log_b = stochastic_term(pair, tau, draw.z_x, draw.z_y)
+                expected = np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j
+                ape = np.abs(np.expm1(stochastic_term(pair, tau, u, v)))
                 worst = max(worst, float(np.max(np.abs(ape - expected) / (1 + expected))))
         assert worst <= 1e-13
 
@@ -187,14 +187,14 @@ class TestThreadSplit:
 
     def test_first_failing_cell_reported_at_any_thread_count(self):
         # e = alpha*sigma_j/sigma_i is 2400 at alpha = 40 and 3000 at alpha = 50;
-        # S_i**e overflows in both, and grid order reaches alpha = 40 first
+        # the twin forward overflows in both, and grid order reaches alpha = 40 first
         base = TwinPair(asset_i=AssetParams(mu=0.4, sigma=0.05, spot=80.0),
                         asset_j=AssetParams(mu=0.8, sigma=3.0, spot=90.0), rho=0.0)
         spec = OptionSpec(strike=90.0, maturity=2.0, rate=0.05)
         g = grid([0.0, 0.5], [1.0, 40.0, 50.0], n=100)
         messages = set()
         for threads in (1, 2, 3, 6):
-            with pytest.raises(NumericalError, match=r"e = alpha\*sigma_j/sigma_i = 2399\.9") as exc:
+            with pytest.raises(NumericalError, match=r"rho=0\.0, alpha=40\.0") as exc:
                 mape_option(base, spec, g, threads=threads)
             messages.add(str(exc.value))
         assert len(messages) == 1

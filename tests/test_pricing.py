@@ -53,7 +53,7 @@ class TestNormalCdf:
 
         def values():
             grid = mape_option(section3_pair, spec, g)
-            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, draw).price.tobytes(),
+            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, draw).tobytes(),
                     grid.grid.tobytes(), grid.standard_errors.tobytes())
 
         expected = values()
@@ -160,27 +160,15 @@ class TestTwinCall:
             spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2),
                               rate=rng.uniform(0, 0.1))
             draw = NoiseDraw.sample(rng)
-            result = twin_call(pair, spec, draw)
-            expected = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
-            assert result.price == pytest.approx(expected, rel=1e-12)
-            assert result.k_i == pytest.approx(spec.strike, rel=1e-12)
-
-    def test_g1_g2_identity(self, section3_pair):
-        rng = np.random.default_rng(31)
-        spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
-        for _ in range(50):
-            pair = random_positive_alpha_pair(rng)
-            result = twin_call(pair, spec, NoiseDraw.sample(rng))
-            from twinassets import alpha
-
-            gap = alpha(pair) * pair.asset_j.sigma * math.sqrt(spec.maturity)
-            assert result.g1 - result.g2 == pytest.approx(gap, rel=1e-10)
+            # e = 1 and log A = log B = 0 exactly, so the twin forward is S_i
+            assert twin_call(pair, spec, draw) == bs_call(pair.asset_j.spot, spec,
+                                                          pair.asset_j.sigma)
 
     def test_section3_perfect_twin_finite_price(self, section3_pair):
         # Frozen closed-form value at (rho, alpha) = (1, 1); B = 1 for any draw.
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
-        result = twin_call(section3_pair, spec, NoiseDraw(0.7, -0.2, 1.4, 0.5))
-        assert result.price == pytest.approx(8.350349700908367, rel=1e-12)
+        price = twin_call(section3_pair, spec, NoiseDraw(0.7, -0.2, 1.4, 0.5))
+        assert price == pytest.approx(8.350349700908367, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
         pair = TwinPair(
@@ -197,9 +185,9 @@ class TestTwinCall:
     def test_vectorized_draw(self, section3_pair):
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         draw = NoiseDraw.sample(np.random.default_rng(1), 64)
-        result = twin_call(section3_pair, spec, draw)
-        assert result.price.shape == (64,)
-        assert np.all(result.price >= 0)
+        prices = twin_call(section3_pair, spec, draw)
+        assert prices.shape == (64,)
+        assert np.all(prices >= 0)
 
 
 class TestQuadratureOracle:
@@ -210,7 +198,7 @@ class TestQuadratureOracle:
             spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                               rate=rng.uniform(0, 0.1))
             draw = NoiseDraw.sample(rng)
-            closed = float(twin_call(pair, spec, draw).price)
+            closed = float(twin_call(pair, spec, draw))
             quad = twin_call_quadrature(pair, spec, draw)
             assert quad == pytest.approx(closed, rel=1e-6)
 
@@ -220,10 +208,10 @@ class TestQuadratureOracle:
 
         spec = OptionSpec(strike=1e-9, maturity=0.25, rate=0.05)
         draw = zero_draw()
-        a_term = deterministic_term(section3_pair, 0.25)
+        a_term = math.exp(deterministic_term(section3_pair, 0.25))
         expo = 2.0  # alpha * sigma_j / sigma_i at section-3 parameters
         forward = a_term * 80.0**expo * math.exp((expo - 1) * (0.05 + 0.5 * 0.4 * 0.2) * 0.25)
-        closed = float(twin_call(section3_pair, spec, draw).price)
+        closed = float(twin_call(section3_pair, spec, draw))
         quad = twin_call_quadrature(section3_pair, spec, draw)
         assert closed == pytest.approx(forward, rel=1e-9)
         assert quad == pytest.approx(forward, rel=1e-6)
@@ -231,5 +219,5 @@ class TestQuadratureOracle:
     def test_deep_otm_limit(self, section3_pair):
         spec = OptionSpec(strike=1e7, maturity=0.25, rate=0.05)
         draw = zero_draw()
-        assert float(twin_call(section3_pair, spec, draw).price) < 1e-8
+        assert float(twin_call(section3_pair, spec, draw)) < 1e-8
         assert twin_call_quadrature(section3_pair, spec, draw) < 1e-8

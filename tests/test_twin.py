@@ -73,23 +73,24 @@ class TestDeterministicTerm:
     def test_identical_twin_reduction(self):
         a = AssetParams(mu=0.3, sigma=0.25, spot=70.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
-        assert deterministic_term(pair, 0.5) == pytest.approx(1.0, rel=1e-15)
+        assert deterministic_term(pair, 0.5) == 0.0
 
     def test_section3_frozen_value(self, section3_pair):
         # Independent scalar re-evaluation: 90 * 80^-2 * e^{0.2*(0.2-0.4)/252}.
-        assert deterministic_term(section3_pair, 1 / 252) == pytest.approx(
+        assert math.exp(deterministic_term(section3_pair, 1 / 252)) == pytest.approx(
             0.01406026803428768, rel=1e-14
         )
 
     def test_small_tau_limit(self, section3_pair):
         expected = 90.0 * 80.0 ** (-2.0)
-        assert deterministic_term(section3_pair, 1e-14) == pytest.approx(expected, rel=1e-12)
+        assert math.exp(deterministic_term(section3_pair, 1e-14)) == pytest.approx(
+            expected, rel=1e-12
+        )
 
 
 class TestStochasticTerm:
     def test_perfect_twin_degeneracy(self, section3_pair):
-        draw = NoiseDraw(z_j=0.1, z_tilde=0.5, z_x=2.3, z_y=-1.7)
-        assert stochastic_term(section3_pair, 0.5, draw) == 1.0
+        assert stochastic_term(section3_pair, 0.5, 2.3, -1.7) == 0.0
 
     def test_rho_one_depends_only_on_z_x(self):
         pair = TwinPair(
@@ -97,8 +98,8 @@ class TestStochasticTerm:
             asset_j=AssetParams(mu=1.2, sigma=0.4, spot=90.0),  # alpha = 1.5
             rho=1.0,
         )
-        b1 = stochastic_term(pair, 0.5, NoiseDraw(0, 0, z_x=0.8, z_y=3.0))
-        b2 = stochastic_term(pair, 0.5, NoiseDraw(0, 0, z_x=0.8, z_y=-2.0))
+        b1 = stochastic_term(pair, 0.5, 0.8, 3.0)
+        b2 = stochastic_term(pair, 0.5, 0.8, -2.0)
         assert b1 == b2
 
     def test_lognormal_mean_identity(self):
@@ -111,7 +112,7 @@ class TestStochasticTerm:
         sig_j, rho, tau = 0.4, 0.3, 0.25
         n = 400000
         draw = NoiseDraw.sample(np.random.default_rng(17), n)
-        b = stochastic_term(pair, tau, draw)
+        b = np.exp(stochastic_term(pair, tau, draw.z_x, draw.z_y))
         log_var = tau * (sig_j**2 * (1 - rho * a) ** 2 + a**2 * sig_j**2 * (1 - rho**2))
         expected = math.exp(0.5 * log_var)
         se = np.std(b, ddof=1) / np.sqrt(n)
@@ -124,14 +125,14 @@ class TestPredictTwin:
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
         draw = NoiseDraw(z_j=0.4, z_tilde=0.0, z_x=1.2, z_y=-0.3)
         s_i, _ = terminal_pair(pair, 0.5, draw)
-        b_term = stochastic_term(pair, 0.5, draw)
-        assert predict_twin(pair, 0.5, s_i, b_term) == pytest.approx(s_i, rel=1e-14)
+        log_b = stochastic_term(pair, 0.5, draw.z_x, draw.z_y)
+        assert predict_twin(pair, 0.5, s_i, log_b) == pytest.approx(s_i, rel=1e-14)
 
     def test_perfect_twin_reproduces_truth_per_path(self, section3_pair):
         draw = NoiseDraw.sample(np.random.default_rng(2), 1000)
         s_i, s_j = terminal_pair(section3_pair, 1 / 252, draw)
-        b_term = stochastic_term(section3_pair, 1 / 252, draw)
-        predicted = predict_twin(section3_pair, 1 / 252, s_i, b_term)
+        log_b = stochastic_term(section3_pair, 1 / 252, draw.z_x, draw.z_y)
+        predicted = predict_twin(section3_pair, 1 / 252, s_i, log_b)
         assert np.max(np.abs(predicted - s_j) / s_j) < 1e-12
 
     def test_positivity(self):
@@ -140,8 +141,8 @@ class TestPredictTwin:
             pair = random_pair(rng)
             draw = NoiseDraw.sample(rng)
             s_i, _ = terminal_pair(pair, rng.uniform(0.01, 2.0), draw)
-            b_term = stochastic_term(pair, 0.5, draw)
-            assert predict_twin(pair, 0.5, s_i, b_term) > 0
+            log_b = stochastic_term(pair, 0.5, draw.z_x, draw.z_y)
+            assert predict_twin(pair, 0.5, s_i, log_b) > 0
 
 
 class TestExactRelation:
