@@ -19,10 +19,10 @@ import numpy as np
 
 from .engine import AssetParams, NoiseDraw, TwinPair, simulate_paths
 from .errors import InvalidParameterError, NumericalError, TwinAssetsError
-from .harness import GridSpec, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
+from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
-from .twin import alpha, predict_twin, stochastic_term
+from .twin import alpha, predict_twin, stochastic_coefficients, stochastic_term
 
 # Time units are years under a 252-trading-day convention.
 TRADING_DAYS_PER_YEAR = 252
@@ -235,9 +235,9 @@ def run_price(opts: dict) -> str:
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     rng = substream(opts["seed"], STREAM_PRICE)
     draw = NoiseDraw.sample(rng, n)
-    prices = twin_call(pair, spec, draw)
-    mean = float(np.mean(prices))
-    se = float(np.std(prices, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    kappa_x, kappa_y = stochastic_coefficients(pair, spec.maturity)
+    mean, std = _mean_std(twin_call(pair, spec, draw), constant=not (kappa_x or kappa_y))
+    mean, se = float(mean), float(std / np.sqrt(n))
     if not (np.isfinite(mean) and np.isfinite(se)):
         raise NumericalError(
             f"non-finite twin price at alpha = {alpha(pair)!r}, rho = {pair.rho!r}: "
@@ -330,7 +330,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merged_options(args)
-        text = _RUNNERS[args.command](opts)
+        # a non-finite result is reported below as a numerical error
+        # (exit 4), so numpy's floating-point warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            text = _RUNNERS[args.command](opts)
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4

@@ -22,7 +22,7 @@ from .engine import AssetParams, NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
-from .twin import stochastic_term
+from .twin import stochastic_coefficients
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,48 @@ def _cell_pair(base: TwinPair, rho: float, alpha_value: float) -> TwinPair:
     )
 
 
-def _mape_from_ape(ape: np.ndarray) -> tuple[float, float]:
-    n = len(ape)
-    se = 100.0 * np.std(ape, ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    return 100.0 * float(np.mean(ape)), float(se)
+def _mean_std(x: np.ndarray, constant: bool = False) -> tuple[float, float]:
+    """Mean and sample standard deviation (ddof = 1) of the 1-d array x,
+    bit-identical to np.mean(x) and np.std(x, ddof=1): one sum gives the
+    mean, then the squared deviations are formed in x, which is overwritten.
+
+    The standard deviation is 0.0 when x has one element, or when the
+    caller knows every element is equal (`constant`); the deviations are
+    then not formed.
+    """
+    n = x.size
+    mean = np.add.reduce(x) / n
+    if n == 1 or constant:
+        return mean, 0.0
+    np.subtract(x, mean, out=x)
+    np.square(x, out=x)
+    return mean, np.sqrt(np.add.reduce(x) / (n - 1))
 
 
 def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
+    """Evaluate cell_fn(l, m, scratch) -> (mean, std) of the cell's
+    absolute percentage errors over every cell, as MAPE and SE in percent.
+
+    scratch is a (2, n) float array owned by one worker: a cell may
+    overwrite it, and the next cell of that worker gets it back.
+    """
     n_rho, n_alpha = len(grid.rho_values), len(grid.alpha_values)
     mape = np.empty((n_rho, n_alpha))
     se = np.empty((n_rho, n_alpha))
     cells = [(l, m) for l in range(n_rho) for m in range(n_alpha)]
+    root_n = np.sqrt(grid.n_replications)
+    # numpy's floating-point error state is local to a thread's context,
+    # so the workers re-enter the caller's
+    errors = np.geterr()
 
     def run_cells(share):
-        # each cell writes only its own (l, m) slot, so workers never collide
-        for l, m in share:
-            mape[l, m], se[l, m] = cell_fn(l, m)
+        scratch = np.empty((2, grid.n_replications))
+        with np.errstate(**errors):
+            # each cell writes only its own (l, m) slot, so workers never collide
+            for l, m in share:
+                mean, std = cell_fn(l, m, scratch)
+                mape[l, m] = 100.0 * mean
+                se[l, m] = 100.0 * std / root_n
 
     if threads > 1:
         # One contiguous run of cells per worker: a cell takes well under a
@@ -141,9 +167,17 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
     u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
 
-    def cell(l: int, m: int) -> tuple[float, float]:
+    def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        return _mape_from_ape(np.abs(np.expm1(stochastic_term(pair, tau, u, v))))
+        kappa_x, kappa_y = stochastic_coefficients(pair, tau)
+        ape, term = scratch
+        # |expm1(log B(u, v))|, log B = kappa_x*u - kappa_y*v, in the scratch rows
+        np.multiply(kappa_x, u, out=ape)
+        np.multiply(kappa_y, v, out=term)
+        np.subtract(ape, term, out=ape)
+        np.expm1(ape, out=ape)
+        np.abs(ape, out=ape)
+        return _mean_std(ape, constant=not (kappa_x or kappa_y))
 
     return _run_grid(grid, cell, threads)
 
@@ -159,9 +193,15 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
 
-    def cell(l: int, m: int) -> tuple[float, float]:
+    def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        return _mape_from_ape(np.abs(twin_call(pair, spec, draw) - benchmark) / benchmark)
+        # |c' - c| / c in the fresh price array
+        ape = twin_call(pair, spec, draw)
+        np.subtract(ape, benchmark, out=ape)
+        np.abs(ape, out=ape)
+        np.divide(ape, benchmark, out=ape)
+        kappa_x, kappa_y = stochastic_coefficients(pair, spec.maturity)
+        return _mean_std(ape, constant=not (kappa_x or kappa_y))
 
     return _run_grid(grid, cell, threads)
 

@@ -30,7 +30,7 @@ from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/sp
 
 from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError, UnsupportedSimilarityError
-from .twin import alpha, deterministic_term, stochastic_term, twin_exponent
+from .twin import alpha, deterministic_term, stochastic_coefficients, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,11 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
 
 def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
     """alpha, log(A*B), g2, and the risk-neutral mean and standard
-    deviation of ln S_i at maturity, for one draw."""
+    deviation of ln S_i at maturity, for one draw.
+
+    log(A*B) and g2 are fresh arrays (0-d for a scalar draw), built in
+    place, so the caller may overwrite them.
+    """
     a = alpha(pair)
     if a <= 0:
         raise UnsupportedSimilarityError(
@@ -88,12 +92,24 @@ def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
         )
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    log_ab = deterministic_term(pair, tau) + stochastic_term(pair, tau, draw.z_x, draw.z_y)
+    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
+    shape = np.broadcast_shapes(np.shape(draw.z_x), np.shape(draw.z_y))
+    log_ab, g2 = np.empty(shape), np.empty(shape)
+    # log B = kappa_x*z_x - kappa_y*z_y, then log A + log B
+    np.multiply(kappa_x, draw.z_x, out=log_ab)
+    np.multiply(kappa_y, draw.z_y, out=g2)
+    np.subtract(log_ab, g2, out=log_ab)
+    np.add(deterministic_term(pair, tau), log_ab, out=log_ab)
     log_spot = np.log(pair.asset_i.spot)
     drift = (spec.rate - 0.5 * sig_i**2) * tau
     vol = sig_i * np.sqrt(tau)
-    # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B)
-    g2 = (log_spot - (sig_i / (a * sig_j)) * (np.log(spec.strike) - log_ab) + drift) / vol
+    # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B):
+    # (log S_i - (sigma_i/(alpha*sigma_j))*(log K - log(A*B)) + drift) / vol
+    np.subtract(np.log(spec.strike), log_ab, out=g2)
+    np.multiply(sig_i / (a * sig_j), g2, out=g2)
+    np.subtract(log_spot, g2, out=g2)
+    np.add(g2, drift, out=g2)
+    np.divide(g2, vol, out=g2)
     return a, log_ab, g2, log_spot + drift, vol
 
 
@@ -111,19 +127,23 @@ def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     expo = twin_exponent(pair)
-    g1 = g2 + a * sig_j * np.sqrt(tau)
+    g1 = np.add(g2, a * sig_j * np.sqrt(tau), out=np.empty_like(g2))
     # F with one S_i kept out of the exp: identical twins (e = 1,
     # log A = log B = 0) then give F = S_i exactly, and the price reduces
-    # to bs_call bit for bit.
+    # to bs_call bit for bit. F and the price are built in log(A*B)'s array.
     spot_i = pair.asset_i.spot
-    forward = spot_i * np.exp(
-        log_ab + (expo - 1.0) * (np.log(spot_i) + (spec.rate + 0.5 * a * sig_j * sig_i) * tau)
+    price = np.add(
+        log_ab,
+        (expo - 1.0) * (np.log(spot_i) + (spec.rate + 0.5 * a * sig_j * sig_i) * tau),
+        out=log_ab,
     )
-    price = (
-        forward * normal_cdf(g1)
-        - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(g2)
-    )
-    return np.maximum(price, 0.0)
+    np.exp(price, out=price)
+    np.multiply(spot_i, price, out=price)
+    np.multiply(price, normal_cdf(g1), out=price)
+    discounted = np.multiply(spec.strike * np.exp(-spec.rate * tau), normal_cdf(g2), out=g2)
+    np.subtract(price, discounted, out=price)
+    # [()] hands a scalar draw back a scalar price
+    return np.maximum(price, 0.0, out=price)[()]
 
 
 def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> float:

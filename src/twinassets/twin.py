@@ -54,6 +54,20 @@ def deterministic_term(pair: TwinPair, tau):
     )
 
 
+def stochastic_coefficients(pair: TwinPair, tau: float) -> tuple[float, float]:
+    """(kappa_x, kappa_y) of log B = kappa_x*z_x - kappa_y*z_y:
+    sigma_j*sqrt(tau)*(1 - rho*alpha) and sigma_j*sqrt(tau)*alpha*sqrt(1-rho^2).
+
+    Both are exactly 0 when (rho, alpha) = (1, 1); log B is then
+    identically 0 and every replication of a draw gives the same value.
+    """
+    if not tau > 0:
+        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    a = alpha(pair)
+    scale = pair.asset_j.sigma * math.sqrt(tau)
+    return scale * (1.0 - pair.rho * a), scale * a * math.sqrt(1.0 - pair.rho**2)
+
+
 def stochastic_term(pair: TwinPair, tau: float, z_x, z_y):
     """log B = sigma_j*sqrt(tau) * ((1 - rho*alpha)*z_x - alpha*sqrt(1-rho^2)*z_y).
 
@@ -63,12 +77,7 @@ def stochastic_term(pair: TwinPair, tau: float, z_x, z_y):
     it is log(S'_j / S_j), the log error of the prediction against the
     truth simulated from (z_j, z_tilde): drifts and spots cancel.
     """
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    a = alpha(pair)
-    scale = pair.asset_j.sigma * math.sqrt(tau)
-    kappa_x = scale * (1.0 - pair.rho * a)
-    kappa_y = scale * a * math.sqrt(1.0 - pair.rho**2)
+    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
     return kappa_x * z_x - kappa_y * z_y
 
 

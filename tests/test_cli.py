@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import decimal_predict_twin, decimal_twin_call
-from twinassets import AssetParams, NoiseDraw, OptionSpec, TwinPair, alpha_to_mu_j
+from twinassets import AssetParams, NoiseDraw, OptionSpec, TwinPair, alpha_to_mu_j, twin_call
 from twinassets.cli import main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
@@ -129,6 +129,21 @@ class TestPrice:
         mean, bs = float(record["twin_price_mean"]), float(record["bs_price"])
         assert mean == pytest.approx(bs, rel=1e-14)
         assert float(record["twin_price_se"]) == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("rho, alpha", [(0.8, 1.1), (1.0, 1.0)])
+    def test_mean_and_se_bit_identical_to_numpy(self, n, rho, alpha, capsys):
+        # at (rho, alpha) = (1, 1) log B is identically 0, every price is
+        # the same and the SE is exactly 0 rather than rounding noise
+        assert main(f"price --rho {rho} --alpha {alpha} --n {n} --seed 3".split()) == 0
+        record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+        draw = NoiseDraw.sample(substream(3, STREAM_PRICE), n)
+        prices = twin_call(default_pair(alpha, rho=rho), spec, draw)
+        deterministic = n == 1 or (rho, alpha) == (1.0, 1.0)
+        se = 0.0 if deterministic else np.std(prices, ddof=1) / np.sqrt(n)
+        assert float(record["twin_price_mean"]).hex() == float(np.mean(prices)).hex()
+        assert float(record["twin_price_se"]).hex() == float(se).hex()
 
     def test_section3_defaults_positive_prices(self, tmp_path):
         code, out = run(tmp_path, "price", "--seed", "3", "--n", "2000")

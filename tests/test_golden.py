@@ -13,11 +13,17 @@ else. The earlier values are reproduced here by the product form
 A*B*S_i^e that 0.2.0 computed: patched into the CLI, it must still give
 each command's 0.2.0 hash, and the 0.3.0 values must agree with it to
 1e-13 relative.
+
+Since 0.3.0 a cell or `price` run whose stochastic term is identically 0
+((rho, alpha) = (1, 1)) reports an SE of exactly 0, not rounding noise.
+Of the pinned outputs this moved one field, the (1, 1) `se` of the option
+grid; `test_deterministic_se_is_the_only_change_since_0_3_0` checks that.
 """
 
 import hashlib
 import math
 import shlex
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +39,7 @@ OPTION_GRID = ("mape --rho-grid=-1:1:21 --alpha-grid 0.5:1.5:21 --mode option --
 MINUTE_PATH = ("simulate --rho 0.8 --alpha 1.1 --steps 98280 --dt 0.000010175010175010176 "
                "--seed 1234567")
 
-# argv: (exit code, SHA-256 in 0.3.0, SHA-256 in 0.2.0 where it differs)
+# argv: (exit code, SHA-256 now, SHA-256 in 0.2.0 where it differs)
 GOLDEN = {
     "simulate --rho 1 --alpha 1 --seed 42": (
         0, "84717cd5e0101b5db69a8cfaf7299b701f6f1420215ad94a26b1c52fc61739c4",
@@ -48,7 +54,7 @@ GOLDEN = {
     "--seed 1234567": (
         0, "74a3df50d65b8cd034dfec0be218f744dc8736bfeb62afc52418fc0d58bcd3c4", None),
     OPTION_GRID: (
-        0, "d3270a189f1261eee7080bc7aa96591c1a29dae91793c24e875215d2f2d2d729",
+        0, "b183eaafb25ad2cb605a6b6ffda40fce9509bc0f8e20a2295a420be2875b45f2",
         "7b20663fb169b07a00d06148e3e7d994faed78be9ead907d95dd8bc0a7e64f63"),
     MINUTE_PATH: (
         0, "d0af3e11d26637c7c435be8e29620489f68ac38f9f11ebe378296fa4adda6f08",
@@ -72,6 +78,8 @@ GOLDEN = {
     "simulate --alpha 400 --steps 5": (
         0, "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95", None),
 }
+OPTION_GRID_0_3_0 = "d3270a189f1261eee7080bc7aa96591c1a29dae91793c24e875215d2f2d2d729"
+_mean_std = harness._mean_std
 
 
 def run(argv: str, tmp_path) -> tuple[int, bytes]:
@@ -120,6 +128,17 @@ def product_form_prediction(pair, times, s_i, log_b):
     return predicted
 
 
+def mean_std_with_noise_se(x, constant=False):
+    """`_mean_std` as 0.3.0 and earlier used it: the SE of a run whose
+    replications are all equal is formed from the data, as rounding noise."""
+    return _mean_std(x)
+
+
+def without_deterministic_se(patch):
+    patch.setattr(harness, "_mean_std", mean_std_with_noise_se)
+    patch.setattr(cli, "_mean_std", mean_std_with_noise_se)
+
+
 def values(data: bytes) -> np.ndarray:
     """The numbers of a key=value record or of a CSV body."""
     lines = data.decode().splitlines()
@@ -161,6 +180,7 @@ def test_log_space_within_1e13_of_product_form(argv, module, name, replacement,
     _, new = run(argv, tmp_path)
     with monkeypatch.context() as patch:
         patch.setattr(module, name, replacement)
+        without_deterministic_se(patch)
         _, old = run(argv, tmp_path)
     assert sha256(old) == GOLDEN[argv][2]
 
@@ -174,3 +194,31 @@ def test_log_space_within_1e13_of_product_form(argv, module, name, replacement,
     elif argv.startswith("price"):
         scale[2] = max(scale[2], scale[1])  # twin_price_se and twin_price_mean
     assert np.all(np.abs(new - old) <= 1e-13 * scale)
+
+
+def test_deterministic_se_is_the_only_change_since_0_3_0(tmp_path, monkeypatch):
+    _, new = run(OPTION_GRID, tmp_path)
+    with monkeypatch.context() as patch:
+        without_deterministic_se(patch)
+        _, old = run(OPTION_GRID, tmp_path)
+    assert sha256(old) == OPTION_GRID_0_3_0
+    old_rows = old.decode().splitlines(keepends=True)
+    # after the header, rows run over alpha within rho: (1, 1) is row 20*21 + 10
+    k = 1 + 20 * 21 + 10
+    assert old_rows[k] == "1,1,8.4834888686090473,1.3878481749250887e-17\n"
+    old_rows[k] = "1,1,8.4834888686090473,0\n"
+    assert new == "".join(old_rows).encode()
+
+
+@pytest.mark.parametrize("argv", [argv for argv, (code, _, _) in GOLDEN.items() if code == 4] + [
+    "mape --mode asset --rho-grid 0 --alpha-grid 1,400 --sigma-j 30 --horizon 50 --threads 2 "
+    "--n 100",
+])
+def test_numerical_error_without_numpy_warnings(argv, tmp_path, capsys):
+    # the exit-4 diagnostic is the only report, also from pool workers
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, data = run(argv, tmp_path)
+    assert (code, data) == (4, b"")
+    assert capsys.readouterr().err.startswith("error: numerical: ")
+    assert [str(w.message) for w in caught] == []

@@ -17,13 +17,16 @@ from twinassets import (
     TwinPair,
     alpha,
     alpha_to_mu_j,
+    bs_call,
     mape_asset,
     mape_option,
     predict_twin,
     sigma_sweep,
     stochastic_term,
     terminal_pair,
+    twin_call,
 )
+from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 
 ONE_DAY = 1 / 252
 ONE_MONTH = 21 / 252
@@ -198,6 +201,47 @@ class TestThreadSplit:
                 mape_option(base, spec, g, threads=threads)
             messages.add(str(exc.value))
         assert len(messages) == 1
+
+
+class TestPlainOracle:
+    """Every cell of the in-place kernels against the plain formulation on
+    fresh arrays, bit for bit. The one exception: where (rho, alpha) = (1, 1)
+    log B is identically 0, every replication is equal and the SE is 0."""
+
+    RHOS = (-1.0, 0.0, 0.6, 1.0)
+    ALPHAS = (0.5, 1.0, 1.3)
+
+    @pytest.mark.parametrize("mode", ["asset", "option"])
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_cells_bit_identical(self, section3_pair, mode, n, threads):
+        g = grid(self.RHOS, self.ALPHAS, n=n, seed=5)
+        spec = TestMapeOption.SPEC
+        if mode == "asset":
+            result = mape_asset(section3_pair, g, threads=threads)
+            draw = NoiseDraw.sample(substream(5, STREAM_ASSET_MAPE), n)
+            u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
+        else:
+            result = mape_option(section3_pair, spec, g, threads=threads)
+            draw = NoiseDraw.sample(substream(5, STREAM_OPTION_MAPE), n)
+            benchmark = bs_call(90.0, spec, 0.4)
+        for l, rho in enumerate(self.RHOS):
+            for m, alpha_value in enumerate(self.ALPHAS):
+                mu_j = alpha_to_mu_j(alpha_value, 0.4, 0.2, 0.4)
+                pair = replace(section3_pair, asset_j=replace(section3_pair.asset_j, mu=mu_j),
+                               rho=rho)
+                if mode == "asset":
+                    ape = np.abs(np.expm1(stochastic_term(pair, ONE_DAY, u, v)))
+                else:
+                    ape = np.abs(twin_call(pair, spec, draw) - benchmark) / benchmark
+                mape = 100 * np.mean(ape)
+                if n == 1 or (rho, alpha_value) == (1.0, 1.0):
+                    se = 0.0
+                else:
+                    se = 100 * np.std(ape, ddof=1) / np.sqrt(n)
+                assert result.grid[l, m].tobytes() == np.float64(mape).tobytes(), (rho, alpha_value)
+                assert result.standard_errors[l, m].tobytes() == np.float64(se).tobytes(), (
+                    rho, alpha_value)
 
 
 class TestMapeGrid:

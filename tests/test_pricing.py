@@ -184,10 +184,17 @@ class TestTwinCall:
 
     def test_vectorized_draw(self, section3_pair):
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+        pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
         draw = NoiseDraw.sample(np.random.default_rng(1), 64)
-        prices = twin_call(section3_pair, spec, draw)
+        prices = twin_call(pair, spec, draw)
         assert prices.shape == (64,)
         assert np.all(prices >= 0)
+        # a scalar draw gives a scalar, the same as its entry of the array draw
+        for k, z in enumerate(zip(draw.z_j.tolist(), draw.z_tilde.tolist(),
+                                  draw.z_x.tolist(), draw.z_y.tolist())):
+            price = twin_call(pair, spec, NoiseDraw(*z))
+            assert type(price) is np.float64
+            assert price.tobytes() == prices[k].tobytes()
 
 
 class TestQuadratureOracle:
