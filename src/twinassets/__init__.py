@@ -1,34 +1,45 @@
 """Twin-asset Monte Carlo simulation, option pricing, and error analysis."""
 
-from .engine import (
-    AssetParams,
-    NoiseDraw,
-    PathPair,
-    TwinPair,
-    simulate_paths,
-    terminal_pair,
-)
-from .errors import (
-    InvalidParameterError,
-    NumericalError,
-    TwinAssetsError,
-    UnsupportedSimilarityError,
-)
-from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
-from .pricing import (
-    OptionSpec,
-    bs_call,
-    normal_cdf,
-    twin_call,
-    twin_call_quadrature,
-)
-from .twin import (
-    alpha,
-    deterministic_term,
-    exact_relation_residual,
-    predict_twin,
-    stochastic_term,
-)
+import gc
+
+# numpy and scipy, imported here, live until the process ends: the cyclic GC
+# skips them during the import and, frozen, at exit (gc.unfreeze() undoes it).
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .engine import (
+        AssetParams,
+        NoiseDraw,
+        PathPair,
+        TwinPair,
+        simulate_paths,
+        terminal_pair,
+    )
+    from .errors import (
+        InvalidParameterError,
+        NumericalError,
+        TwinAssetsError,
+        UnsupportedSimilarityError,
+    )
+    from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
+    from .pricing import (
+        OptionSpec,
+        bs_call,
+        normal_cdf,
+        twin_call,
+        twin_call_quadrature,
+    )
+    from .twin import (
+        alpha,
+        deterministic_term,
+        exact_relation_residual,
+        predict_twin,
+        stochastic_term,
+    )
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
 
 __version__ = "0.3.0"
 
