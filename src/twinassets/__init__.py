@@ -21,18 +21,16 @@ try:
         TwinAssetsError,
         UnsupportedSimilarityError,
     )
-    from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
+    from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option
     from .pricing import (
         OptionSpec,
         bs_call,
         normal_cdf,
         twin_call,
-        twin_call_quadrature,
     )
     from .twin import (
         alpha,
         deterministic_term,
-        exact_relation_residual,
         predict_twin,
         stochastic_term,
     )
@@ -41,7 +39,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "AssetParams",
@@ -59,15 +57,12 @@ __all__ = [
     "alpha_to_mu_j",
     "bs_call",
     "deterministic_term",
-    "exact_relation_residual",
     "mape_asset",
     "mape_option",
     "normal_cdf",
     "predict_twin",
-    "sigma_sweep",
     "simulate_paths",
     "stochastic_term",
     "terminal_pair",
     "twin_call",
-    "twin_call_quadrature",
 ]

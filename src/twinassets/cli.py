@@ -13,13 +13,14 @@ error. Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import AssetParams, NoiseDraw, TwinPair, simulate_paths
 from .errors import InvalidParameterError, NumericalError, TwinAssetsError
-from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option, sigma_sweep
+from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
 from .twin import alpha, predict_twin, stochastic_coefficients, stochastic_term
@@ -101,7 +102,10 @@ def _parse_values(text: str) -> list[float]:
         if count < 1:
             raise InvalidParameterError(f"grid count must be >= 1, got {count}")
         return [float(v) for v in np.linspace(lo, hi, count)]
-    return [float(v) for v in text.split(",") if v.strip()]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise InvalidParameterError(f"expected at least one value, got {text!r}")
+    return values
 
 
 def _read_config(path: str) -> dict:
@@ -293,10 +297,12 @@ def run_mape(opts: dict) -> str:
         lines = ["rho,alpha,mape,se"] + rows_of(result)
     elif mode == "sigma-sweep":
         sigmas = _parse_values(opts["sigma_j_values"])
-        results = sigma_sweep(pair, sigmas, grid_at(opts["horizon"]), threads=threads)
+        grid = grid_at(opts["horizon"])
+        # every swept pair is built, and so validated, before any grid runs
+        swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
         lines = ["rho,alpha,mape,se,sigma_j"]
-        for sigma_j, result in zip(sigmas, results):
-            lines += rows_of(result, extra=_fmt(sigma_j))
+        for sigma_j, swept_pair in zip(sigmas, swept):
+            lines += rows_of(mape_asset(swept_pair, grid, threads=threads), extra=_fmt(sigma_j))
     else:  # horizon-compare
         lines = ["rho,alpha,mape,se,horizon"]
         for horizon in (ONE_DAY, ONE_MONTH):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import AssetParams, NoiseDraw, TwinPair
+from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
@@ -39,6 +39,8 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "rho_values", tuple(float(r) for r in self.rho_values))
         object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
+        if not (self.rho_values and self.alpha_values):
+            raise InvalidParameterError("rho_values and alpha_values must not be empty")
         if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
             raise InvalidParameterError("all rho values must lie in [-1, 1]")
         if any(a <= 0 for a in self.alpha_values):
@@ -122,6 +124,8 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     scratch is a (2, n) float array owned by one worker: a cell may
     overwrite it, and the next cell of that worker gets it back.
     """
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     n_rho, n_alpha = len(grid.rho_values), len(grid.alpha_values)
     mape = np.empty((n_rho, n_alpha))
     se = np.empty((n_rho, n_alpha))
@@ -140,16 +144,17 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
                 mape[l, m] = 100.0 * mean
                 se[l, m] = 100.0 * std / root_n
 
-    if threads > 1:
-        # One contiguous run of cells per worker: a cell takes well under a
-        # millisecond, so handing cells over one at a time costs more than
-        # it saves. Results are consumed in grid order, so a failing grid
-        # raises the error of its first failing cell at any thread count.
-        size = -(-len(cells) // threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_cells, [cells[k : k + size] for k in range(0, len(cells), size)]))
-    else:
-        run_cells(cells)
+    # One contiguous run of cells per worker, the calling thread taking the
+    # first: a cell takes well under a millisecond, so handing cells over one
+    # at a time costs more than it saves. Results are read in grid order, so
+    # a failing grid raises the error of its first failing cell at any count.
+    size = -(-len(cells) // threads)
+    first, *rest = [cells[k : k + size] for k in range(0, len(cells), size)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(run_cells, share) for share in rest]
+        run_cells(first)
+        for future in futures:
+            future.result()
     return MapeGrid(grid=mape, spec=grid, standard_errors=se)
 
 
@@ -204,22 +209,3 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
         return _mean_std(ape, constant=not (kappa_x or kappa_y))
 
     return _run_grid(grid, cell, threads)
-
-
-def sigma_sweep(base: TwinPair, sigmas_j, grid: GridSpec, threads: int = 1) -> list[MapeGrid]:
-    """Asset MAPE grids for several target volatilities sigma_j.
-
-    The shared draw does not depend on sigma_j, so repeated values give
-    identical grids and cross-sigma comparisons share their noise.
-    """
-    if any(s <= 0 for s in sigmas_j):
-        raise InvalidParameterError("all sigma_j values must be > 0")
-    grids = []
-    for sigma_j in sigmas_j:
-        swept = TwinPair(
-            asset_i=base.asset_i,
-            asset_j=replace(base.asset_j, sigma=float(sigma_j)),
-            rho=base.rho,
-        )
-        grids.append(mape_asset(swept, grid, threads=threads))
-    return grids

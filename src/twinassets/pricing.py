@@ -7,29 +7,27 @@ form with the d1/d2 analogues g1 and g2 (g1 = g2 + alpha*sigma_j*sqrt(tau)),
 every product of the twin relation taken as a sum of logs. Because B is
 stochastic, the closed form is conditional on one draw of its two noises;
 averaging over draws is the caller's job (see the experiment harness).
-
-`twin_call_quadrature` evaluates the same price by numerically integrating
-the truncated lognormal expectation, serving as an independent oracle for
-the closed form.
+The quadrature oracle that checks the closed form lives with the tests
+(`tests/conftest.py`) and shares none of its arithmetic.
 
 `normal_cdf` is the one standard normal CDF Phi of both closed forms:
 `scipy.special.ndtr` on float64, bit-identical to `scipy.stats.norm.cdf`
 without that method's argument checks and support masks.
-`scipy.stats.norm` is still imported and bound as `norm`, and `quad` at
-module level, only because the benchmark's traced run reads the import
-times of `scipy.stats` and `scipy.integrate` (`bench/run.py`) and rebinds
-`pricing.norm` (`bench/spans.py`).
+`scipy.stats.norm` is still imported and bound as `norm`, and
+`scipy.integrate` imported, only because the benchmark's traced run reads
+the import times of `scipy.stats` and `scipy.integrate` (`bench/run.py`)
+and rebinds `pricing.norm` (`bench/spans.py`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+import scipy.integrate  # noqa: F401 -- kept for bench/run.py
 from scipy.special import ndtr
 from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/spans.py
 
 from .engine import NoiseDraw, TwinPair
-from .errors import InvalidParameterError, NumericalError, UnsupportedSimilarityError
+from .errors import InvalidParameterError, UnsupportedSimilarityError
 from .twin import alpha, deterministic_term, stochastic_coefficients, twin_exponent
 
 
@@ -78,18 +76,19 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     return spot * normal_cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(d2)
 
 
-def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
-    """alpha, log(A*B), g2, and the risk-neutral mean and standard
-    deviation of ln S_i at maturity, for one draw.
+def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
+    """Closed-form twin call price conditional on one draw of (z_x, z_y).
 
-    log(A*B) and g2 are fresh arrays (0-d for a scalar draw), built in
-    place, so the caller may overwrite them.
+    c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
+    F = exp(log A + log B + e*log S_i + (e-1)*(r + alpha*sigma_j*sigma_i/2)*tau),
+    with g1 = g2 + alpha*sigma_j*sqrt(tau); an array of prices when the
+    draw components are arrays. F is taken as one exp of a log sum, so
+    neither S_i^e nor A*B has to be representable on its own. Tiny
+    negative closed-form values from cancellation are clipped to 0.
     """
     a = alpha(pair)
     if a <= 0:
-        raise UnsupportedSimilarityError(
-            f"twin pricing requires alpha > 0, got alpha = {a}"
-        )
+        raise UnsupportedSimilarityError(f"twin pricing requires alpha > 0, got alpha = {a}")
     tau = spec.maturity
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     kappa_x, kappa_y = stochastic_coefficients(pair, tau)
@@ -110,73 +109,20 @@ def _twin_setup(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
     np.subtract(log_spot, g2, out=g2)
     np.add(g2, drift, out=g2)
     np.divide(g2, vol, out=g2)
-    return a, log_ab, g2, log_spot + drift, vol
-
-
-def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
-    """Closed-form twin call price conditional on one draw of (z_x, z_y).
-
-    c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
-    F = exp(log A + log B + e*log S_i + (e-1)*(r + alpha*sigma_j*sigma_i/2)*tau),
-    with g1 = g2 + alpha*sigma_j*sqrt(tau); an array of prices when the
-    draw components are arrays. F is taken as one exp of a log sum, so
-    neither S_i^e nor A*B has to be representable on its own. Tiny
-    negative closed-form values from cancellation are clipped to 0.
-    """
-    a, log_ab, g2, _, _ = _twin_setup(pair, spec, draw)
-    tau = spec.maturity
-    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     expo = twin_exponent(pair)
     g1 = np.add(g2, a * sig_j * np.sqrt(tau), out=np.empty_like(g2))
     # F with one S_i kept out of the exp: identical twins (e = 1,
     # log A = log B = 0) then give F = S_i exactly, and the price reduces
     # to bs_call bit for bit. F and the price are built in log(A*B)'s array.
-    spot_i = pair.asset_i.spot
     price = np.add(
         log_ab,
-        (expo - 1.0) * (np.log(spot_i) + (spec.rate + 0.5 * a * sig_j * sig_i) * tau),
+        (expo - 1.0) * (log_spot + (spec.rate + 0.5 * a * sig_j * sig_i) * tau),
         out=log_ab,
     )
     np.exp(price, out=price)
-    np.multiply(spot_i, price, out=price)
+    np.multiply(pair.asset_i.spot, price, out=price)
     np.multiply(price, normal_cdf(g1), out=price)
     discounted = np.multiply(spec.strike * np.exp(-spec.rate * tau), normal_cdf(g2), out=g2)
     np.subtract(price, discounted, out=price)
     # [()] hands a scalar draw back a scalar price
     return np.maximum(price, 0.0, out=price)[()]
-
-
-def twin_call_quadrature(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw) -> float:
-    """Twin call price via adaptive quadrature of the risk-neutral integral.
-
-    c ~ exp(-r*tau)/sqrt(2*pi) * int_{-g2}^{inf}
-        [ A*B*(S_i * exp((r - sigma_i^2/2)*tau + w*sigma_i*sqrt(tau)))^e - K ]
-        * exp(-w^2/2) dw
-
-    The first term is evaluated as one exp of its log, kernel included.
-    Independent oracle for `twin_call`; agreement to 1e-6 relative.
-    """
-    _, log_ab, g2, log_mean, vol = _twin_setup(pair, spec, draw)
-    expo = twin_exponent(pair)
-
-    def integrand(w):
-        kernel = -0.5 * w * w
-        return np.exp(log_ab + expo * (log_mean + w * vol) + kernel) - spec.strike * np.exp(kernel)
-
-    # The Gaussian kernel times exp(expo*vol*w) peaks at w = expo*vol;
-    # 14 standard deviations beyond the peak bounds the tail far below tol.
-    # Below w = -37 the kernel underflows, so a deeply negative -g2 is
-    # clipped rather than handed to the integrator.
-    upper = expo * vol + 14.0
-    lower = max(-g2, -37.0)
-    value, abserr = quad(
-        integrand, lower, max(upper, lower + 1.0),
-        epsabs=1e-14, epsrel=1e-10, limit=500,
-    )
-    if not np.isfinite(value) or (value != 0 and abserr > 1e-7 * abs(value) + 1e-12):
-        raise NumericalError(
-            f"quadrature did not converge: value={value}, abserr={abserr}, "
-            f"interval=({-g2}, {upper})"
-        )
-    price = np.exp(-spec.rate * spec.maturity) / np.sqrt(2.0 * np.pi) * value
-    return max(price, 0.0)

@@ -7,18 +7,17 @@ deterministic term A and a stochastic term B driven by two fresh
 independent noises. The relation is evaluated only in log space, as
 log A + log B + e*log S_i with e = alpha*sigma_j/sigma_i, so S_i^e never
 has to be representable on its own: `deterministic_term` and
-`stochastic_term` return log A and log B, `predict_twin` exponentiates
-the sum, and `exact_relation_residual` reads the same sum against the
-simulated truth. With the fresh noises replaced by the pair's own
-driving noises the relation is an exact identity, which that residual
-checks.
+`stochastic_term` return log A and log B, and `predict_twin`
+exponentiates the sum. With the fresh noises replaced by the pair's own
+driving noises the relation is an exact identity; the residual oracle
+that checks it lives with the tests (`tests/conftest.py`).
 """
 
 import math
 
 import numpy as np
 
-from .engine import NoiseDraw, TwinPair, terminal_pair
+from .engine import TwinPair
 from .errors import InvalidParameterError
 
 
@@ -81,27 +80,10 @@ def stochastic_term(pair: TwinPair, tau: float, z_x, z_y):
     return kappa_x * z_x - kappa_y * z_y
 
 
-def _log_prediction(pair: TwinPair, tau, s_i, log_b):
-    return deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i)
-
-
 def predict_twin(pair: TwinPair, tau, s_i, log_b):
     """Predicted S_j after horizon tau: exp(log A + log B + e*log S_i).
 
     log_b is the stochastic term log B of one draw (or an array of
     draws); tau and s_i may be scalars or arrays broadcasting against it.
     """
-    return np.exp(_log_prediction(pair, tau, s_i, log_b))
-
-
-def exact_relation_residual(pair: TwinPair, tau: float, draw: NoiseDraw):
-    """Relative gap of the exact twin relation under shared noise.
-
-    Simulates (S_i, S_j) from (z_j, z_tilde), then evaluates the
-    approximation with the stochastic term driven by those SAME noises
-    (W_x := W_j, W_y := W_tilde). The relation is then an algebraic
-    identity, so the residual is pure floating-point noise (<= 1e-12).
-    """
-    s_i, s_j = terminal_pair(pair, tau, draw)
-    log_b = stochastic_term(pair, tau, draw.z_j, draw.z_tilde)
-    return np.abs(np.expm1(_log_prediction(pair, tau, s_i, log_b) - np.log(s_j)))
+    return np.exp(deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i))

@@ -16,15 +16,13 @@ from twinassets import (
     OptionSpec,
     TwinPair,
     bs_call,
-    exact_relation_residual,
     mape_asset,
     mape_option,
-    sigma_sweep,
     terminal_pair,
     twin_call,
-    twin_call_quadrature,
 )
 from twinassets.cli import main
+from conftest import exact_relation_residual, twin_call_quadrature
 
 ONE_DAY = 1 / 252
 ONE_MONTH = 21 / 252
@@ -128,7 +126,7 @@ def test_criterion_5_sigma_ordering():
     ]
     ok = True
     for g in slices:
-        results = sigma_sweep(baseline_pair(), [0.2, 0.4, 0.6], g)
+        results = [mape_asset(baseline_pair(sigma_j), g) for sigma_j in (0.2, 0.4, 0.6)]
         for a, b in zip(results[:-1], results[1:]):
             slack = 2 * (a.standard_errors + b.standard_errors)
             ok &= bool(np.all(b.grid + slack >= a.grid))

@@ -3,8 +3,9 @@ that breaks the traced benchmark run fails these tests first.
 
 The benchmark reads the cumulative import time of `scipy.stats` and
 `scipy.integrate` from `python -X importtime`, and `bench/spans.py`
-rebinds the package's functions (and `pricing.norm`) to trace them. Each
-check runs in a fresh interpreter with `src/` and `bench/` on the path,
+rebinds the package's functions (and `pricing.norm`) to trace them. Its
+speed-up child (`bench/child.py speedup`) times `mape_asset` at 1 and 2
+threads. Each check runs in a fresh interpreter with `src/` and `bench/` on the path,
 as the benchmark's own children do.
 
 ROADMAP item 1 (benchmark v2) makes a missing import read 0.0 instead of
@@ -55,3 +56,11 @@ with open(sys.argv[2], encoding="utf-8") as fh:
 def test_traced_grid_runs(mode, tmp_path):
     metrics = json.loads(python("-c", TRACED_GRID, mode, str(tmp_path / "trace.json")).stdout)
     assert metrics["harness.cells"] == 4
+
+
+def test_speedup_child_times_both_thread_counts(tmp_path):
+    # the only traced caller of mape_asset(threads=) and GridSpec(horizon=)
+    result = tmp_path / "speedup.json"
+    python(str(ROOT / "bench" / "child.py"), "speedup", str(result), str(ROOT / "src"), "7", "200")
+    timings = json.loads(result.read_text(encoding="utf-8"))
+    assert timings["threads_1_s"] > 0 and timings["threads_2_s"] > 0

@@ -274,6 +274,40 @@ class TestMape:
         _, out2 = run(tmp_path, *args, "--threads", "4", name="t4.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_threads_auto_matches_one_thread(self, tmp_path):
+        args = ["mape", "--mode", "option", "--n", "200",
+                "--rho-grid", "0,1", "--alpha-grid", "0.9,1.1", "--seed", "5"]
+        _, out1 = run(tmp_path, *args, "--threads", "1", name="t1.csv")
+        code, auto = run(tmp_path, *args, "--threads", "auto", name="auto.csv")
+        assert code == 0
+        assert auto.read_bytes() == out1.read_bytes()
+
+    def test_zero_threads_usage_error(self, tmp_path, capsys):
+        code, out = run(tmp_path, "mape", "--threads", "0", "--rho-grid", "1", "--alpha-grid", "1")
+        assert code == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--rho-grid", ","],
+        ["--alpha-grid", ","],
+        ["--mode", "sigma-sweep", "--sigma-j-values", ","],
+    ])
+    def test_empty_value_list_usage_error(self, tmp_path, capsys, flags):
+        code, out = run(tmp_path, "mape", "--n", "100", *flags)
+        assert code == 2
+        assert "','" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_sweep_rejects_bad_sigma_before_any_grid(self, tmp_path, monkeypatch):
+        grids = []
+        monkeypatch.setattr("twinassets.cli.mape_asset", lambda *args, **kwargs: grids.append(args))
+        code, out = run(tmp_path, "mape", "--mode", "sigma-sweep", "--n", "100",
+                        "--sigma-j-values", "0.2,-0.1")
+        assert code == 2
+        assert grids == []
+        assert not out.exists()
+
     def test_negative_alpha_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "mape", "--mode", "asset", "--alpha-grid=-0.5,1")
         assert code == 2

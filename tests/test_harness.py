@@ -21,11 +21,11 @@ from twinassets import (
     mape_asset,
     mape_option,
     predict_twin,
-    sigma_sweep,
     stochastic_term,
     terminal_pair,
     twin_call,
 )
+from twinassets.cli import main
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 
 ONE_DAY = 1 / 252
@@ -52,6 +52,11 @@ class TestGridSpec:
     def test_rejects_zero_replications(self):
         with pytest.raises(InvalidParameterError):
             grid([0.5], [1.0], n=0)
+
+    @pytest.mark.parametrize("rhos, alphas", [([], [1.0]), ([0.5], []), ([], [])])
+    def test_rejects_empty_values(self, rhos, alphas):
+        with pytest.raises(InvalidParameterError, match="must not be empty"):
+            grid(rhos, alphas)
 
 
 class TestAlphaToMuJ:
@@ -204,6 +209,11 @@ class TestThreadSplit:
                 messages.add(str(exc.value))
         assert len(messages) == 1
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_rejects_fewer_than_one_thread(self, section3_pair, threads):
+        with pytest.raises(InvalidParameterError, match="threads must be >= 1"):
+            mape_asset(section3_pair, grid([0.5], [1.0], n=100), threads=threads)
+
 
 class TestPlainOracle:
     """Every cell of the in-place kernels against the plain formulation on
@@ -315,24 +325,32 @@ class TestSpotScaling:
         assert got.standard_errors.tobytes() == ref.standard_errors.tobytes()
 
 
+def with_sigma_j(base, sigma_j):
+    """base with asset j's volatility swept to sigma_j, as `mape --mode sigma-sweep` does."""
+    return replace(base, asset_j=replace(base.asset_j, sigma=sigma_j))
+
+
 class TestSigmaSweep:
     def test_ordering_in_sigma_j(self, section3_pair):
         g = grid([0.0, 0.5, 1.0], [0.7, 1.0, 1.3], n=10000)
-        low, mid, high = sigma_sweep(section3_pair, [0.2, 0.4, 0.6], g)
+        low, mid, high = (mape_asset(with_sigma_j(section3_pair, s), g) for s in (0.2, 0.4, 0.6))
         for a, b in ((low, mid), (mid, high)):
             slack = 2 * (a.standard_errors + b.standard_errors)
             assert np.all(b.grid + slack >= a.grid)
 
-    def test_identical_sigmas_identical_grids(self, section3_pair):
-        g = grid([0.2], [0.9], n=2000)
-        r1, r2 = sigma_sweep(section3_pair, [0.3, 0.3], g)
-        assert np.array_equal(r1.grid, r2.grid)
+    def test_identical_sigmas_identical_grids(self, tmp_path):
+        # every swept grid reads the same draw, so a repeated sigma_j repeats its rows
+        out = tmp_path / "sweep.csv"
+        assert main(["mape", "--mode", "sigma-sweep", "--rho-grid", "0.2", "--alpha-grid", "0.9",
+                     "--n", "2000", "--sigma-j-values", "0.3,0.3", "--out", str(out)]) == 0
+        first, second = out.read_text().splitlines()[1:]
+        assert first == second
 
     def test_perfect_twin_zero_for_all_sigmas(self, section3_pair):
         g = grid([1.0], [1.0], n=5000)
-        for result in sigma_sweep(section3_pair, [0.2, 0.4, 0.6], g):
-            assert result.grid[0, 0] <= 1e-8
+        for sigma_j in (0.2, 0.4, 0.6):
+            assert mape_asset(with_sigma_j(section3_pair, sigma_j), g).grid[0, 0] <= 1e-8
 
     def test_rejects_nonpositive_sigma(self, section3_pair):
         with pytest.raises(InvalidParameterError):
-            sigma_sweep(section3_pair, [0.2, -0.1], grid([0.5], [1.0], n=100))
+            with_sigma_j(section3_pair, -0.1)

@@ -16,10 +16,9 @@ from twinassets import (
     mape_option,
     normal_cdf,
     twin_call,
-    twin_call_quadrature,
 )
 from twinassets import pricing
-from conftest import reference_bs_call
+from conftest import reference_bs_call, twin_call_quadrature
 
 
 def zero_draw():
@@ -222,6 +221,19 @@ class TestQuadratureOracle:
         quad = twin_call_quadrature(section3_pair, spec, draw)
         assert closed == pytest.approx(forward, rel=1e-9)
         assert quad == pytest.approx(forward, rel=1e-6)
+
+    def test_independent_of_twin_call(self, section3_pair, monkeypatch):
+        # the oracle forms log(A*B) itself, so a wrong log A inside
+        # twin_call shows as a gap instead of moving both prices together
+        spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+        pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho=0.6)
+        draw = NoiseDraw(0.7, -0.2, 1.4, 0.5)
+        oracle = twin_call_quadrature(pair, spec, draw)
+        assert float(twin_call(pair, spec, draw)) == pytest.approx(oracle, rel=1e-6)
+        log_a = pricing.deterministic_term
+        monkeypatch.setattr(pricing, "deterministic_term", lambda p, tau: log_a(p, tau) + 1e-3)
+        closed = float(twin_call(pair, spec, draw))
+        assert abs(closed - twin_call_quadrature(pair, spec, draw)) > 1e-4 * oracle
 
     def test_deep_otm_limit(self, section3_pair):
         spec = OptionSpec(strike=1e7, maturity=0.25, rate=0.05)

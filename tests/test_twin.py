@@ -12,11 +12,11 @@ from twinassets import (
     TwinPair,
     alpha,
     deterministic_term,
-    exact_relation_residual,
     predict_twin,
     stochastic_term,
     terminal_pair,
 )
+from conftest import exact_relation_residual
 
 finite_drift = st.floats(min_value=0.01, max_value=2.0)
 vol = st.floats(min_value=0.05, max_value=1.0)
