@@ -23,7 +23,7 @@ from .errors import InvalidParameterError, NumericalError, TwinAssetsError
 from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
-from .twin import alpha, predict_twin, stochastic_coefficients, stochastic_term
+from .twin import alpha, predict_twin, stochastic_term
 
 # Time units are years under a 252-trading-day convention.
 TRADING_DAYS_PER_YEAR = 252
@@ -151,12 +151,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _resolve_threads(value: str) -> int:
-    if value == "auto":
-        return os.cpu_count() or 1
-    threads = int(value)
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1 or 'auto', got {value}")
-    return threads
+    """'auto' is the CPU count; `_run_grid` rejects a count below 1."""
+    return (os.cpu_count() or 1) if value == "auto" else int(value)
 
 
 def _replications(opts: dict, default: int) -> int:
@@ -239,8 +235,7 @@ def run_price(opts: dict) -> str:
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     rng = substream(opts["seed"], STREAM_PRICE)
     draw = NoiseDraw.sample(rng, n)
-    kappa_x, kappa_y = stochastic_coefficients(pair, spec.maturity)
-    mean, std = _mean_std(twin_call(pair, spec, draw), constant=not (kappa_x or kappa_y))
+    mean, std = _mean_std(twin_call(pair, spec, draw))
     mean, se = float(mean), float(std / np.sqrt(n))
     if not (np.isfinite(mean) and np.isfinite(se)):
         raise NumericalError(
@@ -293,7 +288,7 @@ def run_mape(opts: dict) -> str:
         lines = ["rho,alpha,mape,se"] + rows_of(result)
     elif mode == "option":
         spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-        result = mape_option(pair, spec, grid_at(opts["horizon"]), threads=threads)
+        result = mape_option(pair, spec, grid_at(spec.maturity), threads=threads)
         lines = ["rho,alpha,mape,se"] + rows_of(result)
     elif mode == "sigma-sweep":
         sigmas = _parse_values(opts["sigma_j_values"])

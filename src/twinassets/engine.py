@@ -10,6 +10,7 @@ All operations accept either scalars or numpy arrays in the NoiseDraw
 slots and broadcast accordingly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ class AssetParams:
     spot: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma", "spot"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not self.sigma > 0:
             raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
         if not self.spot > 0:
@@ -89,12 +94,14 @@ class PathPair:
     path_j: np.ndarray
 
 
-def gbm_terminal(params: AssetParams, tau: float, z):
-    """Exact lognormal terminal value after horizon tau given unit normal z."""
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    drift = (params.mu - 0.5 * params.sigma**2) * tau
-    return params.spot * np.exp(drift + params.sigma * np.sqrt(tau) * z)
+def _log_returns(pair: TwinPair, tau, z_j, z_tilde):
+    """Exact log-returns (mu - sigma^2/2)*tau + sigma*sqrt(tau)*z of assets i and j
+    over horizon tau: j sees z_j, i the mix rho*z_j + sqrt(1-rho^2)*z_tilde."""
+    z_i = pair.rho * z_j + np.sqrt(1.0 - pair.rho**2) * z_tilde
+    return [
+        (asset.mu - 0.5 * asset.sigma**2) * tau + asset.sigma * np.sqrt(tau) * z
+        for asset, z in ((pair.asset_i, z_i), (pair.asset_j, z_j))
+    ]
 
 
 def terminal_pair(pair: TwinPair, tau: float, draw: NoiseDraw):
@@ -103,10 +110,10 @@ def terminal_pair(pair: TwinPair, tau: float, draw: NoiseDraw):
     Asset j sees z_j; asset i sees rho*z_j + sqrt(1-rho^2)*z_tilde, which
     realises the target return correlation rho while sharing z_j.
     """
-    z_i = pair.rho * draw.z_j + np.sqrt(1.0 - pair.rho**2) * draw.z_tilde
-    s_i = gbm_terminal(pair.asset_i, tau, z_i)
-    s_j = gbm_terminal(pair.asset_j, tau, draw.z_j)
-    return s_i, s_j
+    if not tau > 0:
+        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    log_i, log_j = _log_returns(pair, tau, draw.z_j, draw.z_tilde)
+    return pair.asset_i.spot * np.exp(log_i), pair.asset_j.spot * np.exp(log_j)
 
 
 def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPair:
@@ -118,20 +125,15 @@ def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPa
     """
     if n_steps < 1:
         raise InvalidParameterError(f"n_steps must be >= 1, got {n_steps}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < math.inf:
+        raise InvalidParameterError(f"dt must be finite and > 0, got {dt}")
 
     rng = substream(seed, STREAM_PATHS)
     z_j = rng.standard_normal(n_steps)
     z_tilde = rng.standard_normal(n_steps)
-    z_i = pair.rho * z_j + np.sqrt(1.0 - pair.rho**2) * z_tilde
-
-    sqrt_dt = np.sqrt(dt)
-    log_i = (pair.asset_i.mu - 0.5 * pair.asset_i.sigma**2) * dt + pair.asset_i.sigma * sqrt_dt * z_i
-    log_j = (pair.asset_j.mu - 0.5 * pair.asset_j.sigma**2) * dt + pair.asset_j.sigma * sqrt_dt * z_j
+    log_i, log_j = _log_returns(pair, dt, z_j, z_tilde)
 
     times = dt * np.arange(n_steps + 1)
     path_i = pair.asset_i.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_i)]))
     path_j = pair.asset_j.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_j)]))
     return PathPair(times=times, path_i=path_i, path_j=path_j)
-

@@ -13,6 +13,7 @@ value depends only on the seed, n and its own (rho, alpha), never on the
 rest of the grid, the thread count or the schedule.
 """
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -43,12 +44,12 @@ class GridSpec:
             raise InvalidParameterError("rho_values and alpha_values must not be empty")
         if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
             raise InvalidParameterError("all rho values must lie in [-1, 1]")
-        if any(a <= 0 for a in self.alpha_values):
-            raise InvalidParameterError("all alpha values must be > 0")
+        if any(not 0 < a < math.inf for a in self.alpha_values):
+            raise InvalidParameterError("all alpha values must be finite and > 0")
         if self.n_replications < 1:
             raise InvalidParameterError("n_replications must be >= 1")
-        if not self.horizon > 0:
-            raise InvalidParameterError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise InvalidParameterError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -99,18 +100,18 @@ def _cell_pair(base: TwinPair, rho: float, alpha_value: float) -> TwinPair:
     )
 
 
-def _mean_std(x: np.ndarray, constant: bool = False) -> tuple[float, float]:
+def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Mean and sample standard deviation (ddof = 1) of the 1-d array x,
     bit-identical to np.mean(x) and np.std(x, ddof=1): one sum gives the
     mean, then the squared deviations are formed in x, which is overwritten.
 
-    The standard deviation is 0.0 when x has one element, or when the
-    caller knows every element is equal (`constant`); the deviations are
-    then not formed.
+    The standard deviation is exactly 0.0, not rounding noise, when x has
+    one element or when its mean is finite and every element is equal (the
+    ends are compared first, so a varying x costs O(1) here).
     """
     n = x.size
     mean = np.add.reduce(x) / n
-    if n == 1 or constant:
+    if n == 1 or (np.isfinite(mean) and x[0] == x[-1] and np.all(x == x[0])):
         return mean, 0.0
     np.subtract(x, mean, out=x)
     np.square(x, out=x)
@@ -182,7 +183,7 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
         np.subtract(ape, term, out=ape)
         np.expm1(ape, out=ape)
         np.abs(ape, out=ape)
-        return _mean_std(ape, constant=not (kappa_x or kappa_y))
+        return _mean_std(ape)
 
     return _run_grid(grid, cell, threads)
 
@@ -192,8 +193,9 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
 
     The benchmark c_j is the Black-Scholes price of the call on asset j,
     computed once; only the twin estimate varies per replication, through
-    the (z_x, z_y) of the grid's shared draw. The grid horizon is ignored
-    here: the noises in the twin price live over the option maturity.
+    the (z_x, z_y) of the grid's shared draw. Those noises live over the
+    option maturity, so the grid horizon is not read; the CLI builds the
+    option grid at `spec.maturity`.
     """
     benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
@@ -205,7 +207,6 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
         np.subtract(ape, benchmark, out=ape)
         np.abs(ape, out=ape)
         np.divide(ape, benchmark, out=ape)
-        kappa_x, kappa_y = stochastic_coefficients(pair, spec.maturity)
-        return _mean_std(ape, constant=not (kappa_x or kappa_y))
+        return _mean_std(ape)
 
     return _run_grid(grid, cell, threads)

@@ -19,6 +19,7 @@ the import times of `scipy.stats` and `scipy.integrate` (`bench/run.py`)
 and rebinds `pricing.norm` (`bench/spans.py`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/sp
 
 from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, UnsupportedSimilarityError
-from .twin import alpha, deterministic_term, stochastic_coefficients, twin_exponent
+from .twin import alpha, deterministic_term, stochastic_term, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,10 @@ class OptionSpec:
     rate: float
 
     def __post_init__(self):
+        for name in ("strike", "maturity", "rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not self.strike > 0:
             raise InvalidParameterError(f"strike must be > 0, got {self.strike}")
         if not self.maturity > 0:
@@ -80,49 +85,28 @@ def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
     """Closed-form twin call price conditional on one draw of (z_x, z_y).
 
     c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
-    F = exp(log A + log B + e*log S_i + (e-1)*(r + alpha*sigma_j*sigma_i/2)*tau),
-    with g1 = g2 + alpha*sigma_j*sqrt(tau); an array of prices when the
+    F = S_i*exp(log(A*B) + (e-1)*(log S_i + (r + alpha*sigma_j*sigma_i/2)*tau)),
+    g2 = (log S_i - (log K - log(A*B))/e + (r - sigma_i^2/2)*tau) / (sigma_i*sqrt(tau)),
+    g1 = g2 + alpha*sigma_j*sqrt(tau), with log(A*B) the sum of
+    `deterministic_term` and `stochastic_term`; an array of prices when the
     draw components are arrays. F is taken as one exp of a log sum, so
-    neither S_i^e nor A*B has to be representable on its own. Tiny
+    neither S_i^e nor A*B has to be representable on its own, and with one
+    S_i kept out of the exp identical twins (e = 1, log A = log B = 0) give
+    F = S_i exactly: the price then reduces to `bs_call` bit for bit. Tiny
     negative closed-form values from cancellation are clipped to 0.
     """
     a = alpha(pair)
     if a <= 0:
         raise UnsupportedSimilarityError(f"twin pricing requires alpha > 0, got alpha = {a}")
-    tau = spec.maturity
+    tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
-    shape = np.broadcast_shapes(np.shape(draw.z_x), np.shape(draw.z_y))
-    log_ab, g2 = np.empty(shape), np.empty(shape)
-    # log B = kappa_x*z_x - kappa_y*z_y, then log A + log B
-    np.multiply(kappa_x, draw.z_x, out=log_ab)
-    np.multiply(kappa_y, draw.z_y, out=g2)
-    np.subtract(log_ab, g2, out=log_ab)
-    np.add(deterministic_term(pair, tau), log_ab, out=log_ab)
+    log_ab = deterministic_term(pair, tau) + stochastic_term(pair, tau, draw.z_x, draw.z_y)
     log_spot = np.log(pair.asset_i.spot)
-    drift = (spec.rate - 0.5 * sig_i**2) * tau
-    vol = sig_i * np.sqrt(tau)
-    # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B):
-    # (log S_i - (sigma_i/(alpha*sigma_j))*(log K - log(A*B)) + drift) / vol
-    np.subtract(np.log(spec.strike), log_ab, out=g2)
-    np.multiply(sig_i / (a * sig_j), g2, out=g2)
-    np.subtract(log_spot, g2, out=g2)
-    np.add(g2, drift, out=g2)
-    np.divide(g2, vol, out=g2)
-    expo = twin_exponent(pair)
-    g1 = np.add(g2, a * sig_j * np.sqrt(tau), out=np.empty_like(g2))
-    # F with one S_i kept out of the exp: identical twins (e = 1,
-    # log A = log B = 0) then give F = S_i exactly, and the price reduces
-    # to bs_call bit for bit. F and the price are built in log(A*B)'s array.
-    price = np.add(
-        log_ab,
-        (expo - 1.0) * (log_spot + (spec.rate + 0.5 * a * sig_j * sig_i) * tau),
-        out=log_ab,
-    )
-    np.exp(price, out=price)
-    np.multiply(pair.asset_i.spot, price, out=price)
-    np.multiply(price, normal_cdf(g1), out=price)
-    discounted = np.multiply(spec.strike * np.exp(-spec.rate * tau), normal_cdf(g2), out=g2)
-    np.subtract(price, discounted, out=price)
-    # [()] hands a scalar draw back a scalar price
-    return np.maximum(price, 0.0, out=price)[()]
+    # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B), over vol
+    g2 = (log_spot - sig_i / (a * sig_j) * (np.log(spec.strike) - log_ab)
+          + (rate - 0.5 * sig_i**2) * tau) / (sig_i * np.sqrt(tau))
+    g1 = g2 + a * sig_j * np.sqrt(tau)
+    growth = (twin_exponent(pair) - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
+    forward = pair.asset_i.spot * np.exp(log_ab + growth)
+    price = forward * normal_cdf(g1) - spec.strike * np.exp(-rate * tau) * normal_cdf(g2)
+    return np.maximum(price, 0.0)

@@ -91,9 +91,21 @@ def exact_relation_residual(pair, tau, draw):
     log sum log A + log B + e*log S_i with the stochastic term driven by
     those SAME noises (W_x := W_j, W_y := W_tilde). The relation is then an
     algebraic identity, so the residual is pure floating-point noise
-    (<= 1e-12).
+    (<= 1e-12). For a scalar draw the log sum and its gap to log S_j are
+    taken in decimal (`decimal_twin_terms`), so terms near 1000 that cancel
+    add no rounding of their own: what is left is that of the simulated
+    pair. An array draw takes them in float arithmetic.
     """
     s_i, s_j = terminal_pair(pair, tau, draw)
+    if np.ndim(s_i) == 0:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            dec = decimal.Decimal
+            root_tau = dec(tau).sqrt()
+            _, _, terms = decimal_twin_terms(
+                pair, tau, s_i, dec(draw.z_j) * root_tau, dec(draw.z_tilde) * root_tau
+            )
+            return abs(float((sum(terms) - dec(s_j).ln()).exp() - 1))
     log_b = stochastic_term(pair, tau, draw.z_j, draw.z_tilde)
     log_prediction = deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i)
     return np.abs(np.expm1(log_prediction - np.log(s_j)))

@@ -43,6 +43,16 @@ def default_pair(alpha, sigma_j=0.4, rho=1.0):
 LOG_SUM_ROUNDINGS = 4
 EPS = np.finfo(float).eps
 
+# argv: the diagnostic of its nan or inf input, which exits 2 before any work
+NON_FINITE_INPUTS = {
+    "mape --rho-grid 0 --alpha-grid nan": "all alpha values must be finite and > 0",
+    "mape --rho-grid 0 --alpha-grid inf": "all alpha values must be finite and > 0",
+    "price --strike inf": "strike must be finite, got inf",
+    "price --rate nan": "rate must be finite, got nan",
+    "price --mu-i nan": "mu must be finite, got nan",
+    "simulate --steps 2 --dt inf": "dt must be finite and > 0, got inf",
+}
+
 
 def readme_commands():
     """argv of every `twinassets ...` command shown in README.md."""
@@ -318,6 +328,15 @@ class TestMape:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_option_mode_does_not_read_horizon(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("horizon = -1\n")
+        args = ["mape", "--mode", "option", "--rho-grid", "0", "--alpha-grid", "1", "--n", "10"]
+        code, out = run(tmp_path, *args, "--config", str(cfg), name="config.csv")
+        assert code == 0
+        _, plain = run(tmp_path, *args, name="plain.csv")
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_non_finite_cell_numerical_error(self, tmp_path, capsys):
         # sigma_j = 30 over two years: e^(s^2/2) overflows, so every cell is inf or nan
         code, out = run(tmp_path, "mape", "--rho-grid", "0", "--alpha-grid", "1,5",
@@ -328,6 +347,18 @@ class TestMape:
 
 
 class TestConfigAndErrors:
+    @pytest.mark.parametrize("argv", list(NON_FINITE_INPUTS))
+    def test_non_finite_input_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("normals drawn before the input was checked")
+
+        for module in ("cli", "engine", "harness"):
+            monkeypatch.setattr(f"twinassets.{module}.substream", no_draws)
+        code, out = run(tmp_path, *shlex.split(argv))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: validation: {NON_FINITE_INPUTS[argv]}\n"
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = 10\nseed = 77\n")

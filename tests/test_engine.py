@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from twinassets import (
     simulate_paths,
     terminal_pair,
 )
+from twinassets.seeding import STREAM_PATHS, substream
 
 
 def zero_draw():
@@ -127,6 +129,15 @@ class TestSimulatePaths:
         sample = np.corrcoef(r_i, r_j)[0, 1]
         se = (1 - 0.5**2) / np.sqrt(n)
         assert abs(sample - 0.5) < 3 * se
+
+    def test_first_step_is_terminal_pair(self, section3_pair):
+        pair = replace(section3_pair, rho=0.3)
+        paths = simulate_paths(pair, 4, 0.01, seed=8)
+        rng = substream(8, STREAM_PATHS)
+        z_j, z_tilde = rng.standard_normal(4), rng.standard_normal(4)
+        s_i, s_j = terminal_pair(pair, 0.01, NoiseDraw(z_j[0], z_tilde[0], 0.0, 0.0))
+        assert paths.path_i[1].tobytes() == np.float64(s_i).tobytes()
+        assert paths.path_j[1].tobytes() == np.float64(s_j).tobytes()
 
     def test_invalid_steps(self, section3_pair):
         with pytest.raises(InvalidParameterError):

@@ -79,7 +79,6 @@ GOLDEN = {
         0, "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95", None),
 }
 OPTION_GRID_0_3_0 = "d3270a189f1261eee7080bc7aa96591c1a29dae91793c24e875215d2f2d2d729"
-_mean_std = harness._mean_std
 
 
 def run(argv: str, tmp_path) -> tuple[int, bytes]:
@@ -128,10 +127,10 @@ def product_form_prediction(pair, times, s_i, log_b):
     return predicted
 
 
-def mean_std_with_noise_se(x, constant=False):
-    """`_mean_std` as 0.3.0 and earlier used it: the SE of a run whose
+def mean_std_with_noise_se(x):
+    """`_mean_std` as 0.3.0 and earlier computed it: the SE of a run whose
     replications are all equal is formed from the data, as rounding noise."""
-    return _mean_std(x)
+    return np.mean(x), np.std(x, ddof=1)
 
 
 def without_deterministic_se(patch):
@@ -210,9 +209,24 @@ def test_deterministic_se_is_the_only_change_since_0_3_0(tmp_path, monkeypatch):
     assert new == "".join(old_rows).encode()
 
 
+# every cell overflows, in pool workers too
+POOL_OVERFLOW = ("mape --mode asset --rho-grid 0 --alpha-grid 1,400 --sigma-j 30 --horizon 50 "
+                 "--threads 2 --n 100")
+# the full stderr line of each exit-4 command, after "error: numerical: "
+EXIT_4_STDERR = {
+    "mape --rho-grid 0 --alpha-grid 1,5 --sigma-j 30 --horizon 2":
+        "non-finite MAPE at rho=0.0, alpha=1.0: mape=5.148959354850977e+174, se=inf",
+    "price --alpha 40 --rho 0 --sigma-i 0.05 --sigma-j 3 --maturity 2":
+        "non-finite twin price at alpha = 39.99999999999999, rho = 0.0: mean=inf, se=nan",
+    "mape --mode option --rho-grid 0 --alpha-grid 40 --sigma-i 0.05 --sigma-j 3 "
+    "--maturity 2 --n 100":
+        "non-finite MAPE at rho=0.0, alpha=40.0: mape=inf, se=nan",
+    POOL_OVERFLOW: "non-finite MAPE at rho=0.0, alpha=1.0: mape=inf, se=nan",
+}
+
+
 @pytest.mark.parametrize("argv", [argv for argv, (code, _, _) in GOLDEN.items() if code == 4] + [
-    "mape --mode asset --rho-grid 0 --alpha-grid 1,400 --sigma-j 30 --horizon 50 --threads 2 "
-    "--n 100",
+    POOL_OVERFLOW,
 ])
 def test_numerical_error_without_numpy_warnings(argv, tmp_path, capsys):
     # the exit-4 diagnostic is the only report, also from pool workers
@@ -220,5 +234,5 @@ def test_numerical_error_without_numpy_warnings(argv, tmp_path, capsys):
         warnings.simplefilter("always")
         code, data = run(argv, tmp_path)
     assert (code, data) == (4, b"")
-    assert capsys.readouterr().err.startswith("error: numerical: ")
+    assert capsys.readouterr().err == f"error: numerical: {EXIT_4_STDERR[argv]}\n"
     assert [str(w.message) for w in caught] == []

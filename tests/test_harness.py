@@ -26,6 +26,7 @@ from twinassets import (
     twin_call,
 )
 from twinassets.cli import main
+from twinassets.harness import _mean_std
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 
 ONE_DAY = 1 / 252
@@ -254,6 +255,31 @@ class TestPlainOracle:
                 assert result.grid[l, m].tobytes() == np.float64(mape).tobytes(), (rho, alpha_value)
                 assert result.standard_errors[l, m].tobytes() == np.float64(se).tobytes(), (
                     rho, alpha_value)
+
+
+class TestMeanStd:
+    def test_equal_finite_values_exact_zero(self):
+        x = np.full(1000, 0.1)
+        assert np.std(x, ddof=1) > 0  # the deviations from the rounded mean
+        mean, std = _mean_std(x.copy())
+        assert mean == np.mean(x)
+        assert std == 0.0
+
+    def test_all_inf_is_not_zero(self):
+        # an all-inf cell must report se=nan, as the exit-4 message shows
+        with np.errstate(invalid="ignore"):
+            mean, std = _mean_std(np.full(5, np.inf))
+        assert mean == np.inf
+        assert np.isnan(std)
+
+    def test_single_value_zero(self):
+        assert _mean_std(np.array([0.3])) == (0.3, 0.0)
+
+    def test_varying_values_match_numpy(self):
+        x = np.random.default_rng(3).standard_normal(101)
+        x[-1] = x[0]  # equal ends, varying inside
+        mean, std = _mean_std(x.copy())
+        assert (mean, std) == (np.mean(x), np.std(x, ddof=1))
 
 
 class TestMapeGrid:

@@ -173,6 +173,12 @@ class TestExactRelation:
     # S_i^e = 40**200 overflows to inf here while S_j stays finite
     @example(mu_i=0.01, mu_j=2.0, sig_i=0.5, sig_j=1.0, s_i=40.0, s_j=1.0,
              rho=0.0, tau=1.0, z=(0.0, 0.0, 0.0, 0.0))
+    # log terms near 1000 cancel: the float log sum was off by 1.04e-12 here
+    @example(mu_i=0.010751514195473006, mu_j=1.9880062046842122,
+             sig_i=0.9537109007844528, sig_j=0.5373499645550837,
+             s_i=156.95194940537294, s_j=82.43692140482645,
+             rho=-0.38013334280358424, tau=2.3285022088747316,
+             z=(-3.359971527187076, 3.9970380559961676, 3.1483546538792284, -3.0542178385934236))
     def test_identity_property(self, mu_i, mu_j, sig_i, sig_j, s_i, s_j, rho, tau, z):
         pair = TwinPair(
             asset_i=AssetParams(mu=mu_i, sigma=sig_i, spot=s_i),
