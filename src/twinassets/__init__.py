@@ -39,7 +39,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.4.1"
+__version__ = "0.4.2"
 
 __all__ = [
     "AssetParams",

@@ -13,6 +13,7 @@ error. Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -91,25 +92,37 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _parse_values(text: str) -> list[float]:
-    """Parse a grid flag: either 'lo:hi:count' or 'v1,v2,...'."""
-    text = text.strip()
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidParameterError(f"grid must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise InvalidParameterError(f"grid count must be >= 1, got {count}")
-        return [float(v) for v in np.linspace(lo, hi, count)]
-    values = [float(v) for v in text.split(",") if v.strip()]
-    if not values:
-        raise InvalidParameterError(f"expected at least one value, got {text!r}")
-    return values
+@contextmanager
+def _naming(name: str):
+    """Prefix a ValueError raised inside, such as int('abc'), with the flag,
+    config key or asset it concerns, as a usage error (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InvalidParameterError(f"{name}: {exc}") from None
+
+
+def _parse_values(opts: dict, key: str) -> list[float]:
+    """Parse the value-list option `key`: either 'lo:hi:count' or 'v1,v2,...'."""
+    text = opts[key].strip()
+    with _naming(_flag(key)):
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise InvalidParameterError(f"grid must be lo:hi:count, got {text!r}")
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            if count < 1:
+                raise InvalidParameterError(f"grid count must be >= 1, got {count}")
+            return [float(v) for v in np.linspace(lo, hi, count)]
+        values = [float(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise InvalidParameterError(f"expected at least one value, got {text!r}")
+        return values
 
 
 def _read_config(path: str) -> dict:
-    """Read a `key = value` config file (lines starting with # ignored)."""
+    """Read a `key = value` config file (lines starting with # ignored),
+    each value converted to its option's type."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -122,7 +135,8 @@ def _read_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in OPTIONS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+            with _naming(f"{path}:{lineno}: {key}"):
+                values[key] = OPTIONS[key].type(value.strip())
     return values
 
 
@@ -137,7 +151,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
         if name in flags:
             merged[name] = flags[name]
         elif name in config:
-            merged[name] = opt.type(config[name])
+            merged[name] = config[name]
         else:
             merged[name] = opt.default
     if args.command == "mape":
@@ -151,8 +165,9 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _resolve_threads(value: str) -> int:
-    """'auto' is the CPU count; `_run_grid` rejects a count below 1."""
-    return (os.cpu_count() or 1) if value == "auto" else int(value)
+    """'auto' is the CPU count; `mape_asset` and `mape_option` reject a count below 1."""
+    with _naming("--threads"):
+        return (os.cpu_count() or 1) if value == "auto" else int(value)
 
 
 def _replications(opts: dict, default: int) -> int:
@@ -164,14 +179,14 @@ def _replications(opts: dict, default: int) -> int:
 
 
 def _build_pair(opts: dict) -> TwinPair:
+    with _naming("asset i"):
+        asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     mu_j = opts["mu_j"]
     if opts["alpha"] is not None:
         mu_j = alpha_to_mu_j(opts["alpha"], opts["mu_i"], opts["sigma_i"], opts["sigma_j"])
-    return TwinPair(
-        asset_i=AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"]),
-        asset_j=AssetParams(mu=mu_j, sigma=opts["sigma_j"], spot=opts["spot_j"]),
-        rho=opts["rho"],
-    )
+    with _naming("asset j"):
+        asset_j = AssetParams(mu=mu_j, sigma=opts["sigma_j"], spot=opts["spot_j"])
+    return TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
 
 
 _SIMULATE_HEADER = ("t", "s_i", "s_j", "s_j_predicted")
@@ -260,8 +275,8 @@ def run_mape(opts: dict) -> str:
     pair = _build_pair(opts)
     threads = _resolve_threads(opts["threads"])
     n = _replications(opts, _MODE_DEFAULT_N[mode])
-    rho_values = _parse_values(opts["rho_grid"])
-    alpha_values = _parse_values(opts["alpha_grid"])
+    rho_values = _parse_values(opts, "rho_grid")
+    alpha_values = _parse_values(opts, "alpha_grid")
 
     def grid_at(horizon: float) -> GridSpec:
         return GridSpec(
@@ -291,10 +306,11 @@ def run_mape(opts: dict) -> str:
         result = mape_option(pair, spec, grid_at(spec.maturity), threads=threads)
         lines = ["rho,alpha,mape,se"] + rows_of(result)
     elif mode == "sigma-sweep":
-        sigmas = _parse_values(opts["sigma_j_values"])
+        sigmas = _parse_values(opts, "sigma_j_values")
         grid = grid_at(opts["horizon"])
         # every swept pair is built, and so validated, before any grid runs
-        swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
+        with _naming(_flag("sigma_j_values")):
+            swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
         lines = ["rho,alpha,mape,se,sigma_j"]
         for sigma_j, swept_pair in zip(sigmas, swept):
             lines += rows_of(mape_asset(swept_pair, grid, threads=threads), extra=_fmt(sigma_j))

@@ -81,7 +81,7 @@ class MapeGrid:
 def alpha_to_mu_j(alpha_target: float, mu_i: float, sigma_i: float, sigma_j: float) -> float:
     """Drift mu_j that makes the pair's similarity ratio equal alpha_target."""
     if sigma_i <= 0 or sigma_j <= 0:
-        raise InvalidParameterError("volatilities must be > 0")
+        raise InvalidParameterError(f"sigma_i and sigma_j must be > 0, got {sigma_i}, {sigma_j}")
     if mu_i == 0:
         raise InvalidParameterError("mu_i must be nonzero")
     if alpha_target <= 0:
@@ -118,15 +118,19 @@ def _mean_std(x: np.ndarray) -> tuple[float, float]:
     return mean, np.sqrt(np.add.reduce(x) / (n - 1))
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
+
+
 def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     """Evaluate cell_fn(l, m, scratch) -> (mean, std) of the cell's
     absolute percentage errors over every cell, as MAPE and SE in percent.
 
     scratch is a (2, n) float array owned by one worker: a cell may
-    overwrite it, and the next cell of that worker gets it back.
+    overwrite it, and the next cell of that worker gets it back. threads
+    is at least 1: the callers check it with `_check_threads` before they draw.
     """
-    if threads < 1:
-        raise InvalidParameterError(f"threads must be >= 1, got {threads}")
     n_rho, n_alpha = len(grid.rho_values), len(grid.alpha_values)
     mape = np.empty((n_rho, n_alpha))
     se = np.empty((n_rho, n_alpha))
@@ -167,11 +171,16 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     (z_x, z_y). log(S'_j / S_j) is the stochastic term log B at
     u = z_x - z_j and v = z_y - z_tilde (see `twin.stochastic_term`), so
     the relative error is |expm1| of it, and the shared draw is read only
-    through u and v, formed once per grid.
+    through u and v, formed once per grid in the buffers of z_x and z_y.
+    The draw is then dropped, so z_j and z_tilde are freed before any cell
+    runs and the grid holds (2 + 2*threads)*n doubles.
     """
+    _check_threads(threads)
     tau = grid.horizon
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
-    u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
+    u = np.subtract(draw.z_x, draw.z_j, out=draw.z_x)
+    v = np.subtract(draw.z_y, draw.z_tilde, out=draw.z_y)
+    del draw
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
@@ -197,6 +206,7 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     option maturity, so the grid horizon is not read; the CLI builds the
     option grid at `spec.maturity`.
     """
+    _check_threads(threads)
     benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
 

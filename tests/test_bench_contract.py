@@ -52,10 +52,16 @@ with open(sys.argv[2], encoding="utf-8") as fh:
 """
 
 
-@pytest.mark.parametrize("mode", ["asset", "option"])
+# the asset grid reads all four normals of its draw, the option grid z_x and z_y
+DRAWS_USED = {"asset": 1.0, "option": 0.5}
+
+
+@pytest.mark.parametrize("mode", list(DRAWS_USED))
 def test_traced_grid_runs(mode, tmp_path):
     metrics = json.loads(python("-c", TRACED_GRID, mode, str(tmp_path / "trace.json")).stdout)
     assert metrics["harness.cells"] == 4
+    assert metrics["engine.normal_draws"] == 4 * 100
+    assert metrics["engine.draws_used_ratio"] == DRAWS_USED[mode]
 
 
 def test_speedup_child_times_both_thread_counts(tmp_path):

@@ -49,9 +49,35 @@ NON_FINITE_INPUTS = {
     "mape --rho-grid 0 --alpha-grid inf": "all alpha values must be finite and > 0",
     "price --strike inf": "strike must be finite, got inf",
     "price --rate nan": "rate must be finite, got nan",
-    "price --mu-i nan": "mu must be finite, got nan",
+    "price --mu-i nan": "asset i: mu must be finite, got nan",
     "simulate --steps 2 --dt inf": "dt must be finite and > 0, got inf",
 }
+
+
+# argv: the usage error, which names its flag, config key or asset;
+# {cfg} is a config file that sets `n = abc` on its second line
+NAMED_USAGE_ERRORS = {
+    "mape --threads abc": "--threads: invalid literal for int() with base 10: 'abc'",
+    "mape --rho-grid 0:1:x": "--rho-grid: invalid literal for int() with base 10: 'x'",
+    "mape --alpha-grid 1,x": "--alpha-grid: could not convert string to float: 'x'",
+    "mape --mode sigma-sweep --sigma-j-values 0.2,-0.1":
+        "--sigma-j-values: sigma must be > 0, got -0.1",
+    "mape --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
+    "price --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
+    "price --alpha 1 --sigma-j -1": "sigma_i and sigma_j must be > 0, got 0.2, -1.0",
+    "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
+    "simulate --spot-i -5": "asset i: spot must be > 0, got -5.0",
+    "simulate --spot-j 0": "asset j: spot must be > 0, got 0.0",
+}
+
+
+def forbid_draws(monkeypatch):
+    """Make any normal draw fail: the input must be rejected before one."""
+    def no_draws(*args):
+        raise AssertionError("normals drawn before the input was checked")
+
+    for module in ("cli", "engine", "harness"):
+        monkeypatch.setattr(f"twinassets.{module}.substream", no_draws)
 
 
 def readme_commands():
@@ -349,14 +375,30 @@ class TestMape:
 class TestConfigAndErrors:
     @pytest.mark.parametrize("argv", list(NON_FINITE_INPUTS))
     def test_non_finite_input_usage_error(self, argv, tmp_path, capsys, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("normals drawn before the input was checked")
-
-        for module in ("cli", "engine", "harness"):
-            monkeypatch.setattr(f"twinassets.{module}.substream", no_draws)
+        forbid_draws(monkeypatch)
         code, out = run(tmp_path, *shlex.split(argv))
         assert code == 2
         assert capsys.readouterr().err == f"error: validation: {NON_FINITE_INPUTS[argv]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", list(NAMED_USAGE_ERRORS))
+    def test_usage_error_names_its_source(self, argv, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nn = abc\n")
+        forbid_draws(monkeypatch)
+        code, out = run(tmp_path, *shlex.split(argv.format(cfg=cfg)))
+        assert code == 2
+        expected = NAMED_USAGE_ERRORS[argv].format(cfg=cfg)
+        assert capsys.readouterr().err == f"error: validation: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["asset", "option", "sigma-sweep", "horizon-compare"])
+    def test_threads_checked_before_any_draw(self, mode, tmp_path, capsys, monkeypatch):
+        forbid_draws(monkeypatch)
+        code, out = run(tmp_path, "mape", "--mode", mode, "--threads", "0",
+                        "--rho-grid", "0", "--alpha-grid", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: validation: threads must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,37 @@ class TestThreadSplit:
             mape_asset(section3_pair, grid([0.5], [1.0], n=100), threads=threads)
 
 
+class TestWorkingMemory:
+    """Peak of the memory numpy reports to tracemalloc, in doubles per
+    replication, while a grid runs. The asset grid holds u and v (2n) plus
+    a (2, n) scratch per worker; its 4n draw is freed before any cell runs.
+    The option grid's bound is its present working set, as a guard."""
+
+    N = 100_000
+    SLACK = 0.1
+
+    def peak_doubles_per_replication(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.N)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_asset_grid_holds_u_v_and_scratch(self, section3_pair, threads):
+        g = grid([0.0, 0.5], [0.9, 1.1], n=self.N)
+        peak = self.peak_doubles_per_replication(lambda: mape_asset(section3_pair, g, threads))
+        assert peak <= 2 + 2 * threads + self.SLACK
+
+    def test_option_grid_one_thread(self, section3_pair):
+        g = grid([0.0, 0.5], [0.9, 1.1], n=self.N)
+        spec = TestMapeOption.SPEC
+        peak = self.peak_doubles_per_replication(lambda: mape_option(section3_pair, spec, g))
+        assert peak <= 13 + self.SLACK
+
+
 class TestPlainOracle:
     """Every cell of the in-place kernels against the plain formulation on
     fresh arrays, bit for bit. The one exception: where (rho, alpha) = (1, 1)
@@ -349,6 +381,56 @@ class TestSpotScaling:
         got = mape_asset(self.scaled(section3_pair, lam), self.G)
         assert got.grid.tobytes() == ref.grid.tobytes()
         assert got.standard_errors.tobytes() == ref.standard_errors.tobytes()
+
+
+class TestDriftInvariance:
+    """At fixed alpha the asset error does not depend on mu_i: mu_j follows
+    mu_i, and the drifts cancel from log(S'_j / S_j), which is log B at
+    (u, v). Each cell's mean APE, through the unreduced path and through
+    `mape_asset`, agrees across drifts within RTOL relative. At
+    (rho, alpha) = (1, 1) the exact error is 0; there the unreduced path
+    gives rounding noise of a few 1e-15 and `mape_asset` exactly 0."""
+
+    RTOL = 1e-12
+    MU_I = (-0.3, 0.05, 1.0, 3.0)
+    RHOS = np.linspace(-1, 1, 9)
+    ALPHAS = np.linspace(0.5, 1.5, 9)
+
+    @staticmethod
+    def at_drift(base, mu_i, rho=None, alpha_value=None):
+        pair = replace(base, asset_i=replace(base.asset_i, mu=mu_i))
+        if alpha_value is None:
+            return pair
+        mu_j = alpha_to_mu_j(alpha_value, mu_i, pair.asset_i.sigma, pair.asset_j.sigma)
+        return replace(pair, asset_j=replace(pair.asset_j, mu=mu_j), rho=float(rho))
+
+    @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH, 1.0])
+    @pytest.mark.parametrize("mu_i", MU_I)
+    def test_unreduced_ape_invariant(self, section3_pair, tau, mu_i):
+        draw = NoiseDraw.sample(np.random.default_rng(13), 2000)
+
+        def mean_ape(pair):
+            s_i, s_j = terminal_pair(pair, tau, draw)
+            log_b = stochastic_term(pair, tau, draw.z_x, draw.z_y)
+            return np.mean(np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j)
+
+        for rho in self.RHOS:
+            for alpha_value in self.ALPHAS:
+                ref = mean_ape(self.at_drift(section3_pair, 0.4, rho, alpha_value))
+                got = mean_ape(self.at_drift(section3_pair, mu_i, rho, alpha_value))
+                if (rho, alpha_value) == (1.0, 1.0):
+                    assert max(ref, got) < 1e-13
+                else:
+                    assert abs(got - ref) <= self.RTOL * ref, (rho, alpha_value, got, ref)
+
+    @pytest.mark.parametrize("mu_i", MU_I)
+    def test_asset_grid_invariant(self, section3_pair, mu_i):
+        g = grid(self.RHOS, self.ALPHAS, n=4000)
+        ref = mape_asset(section3_pair, g)
+        got = mape_asset(self.at_drift(section3_pair, mu_i), g)
+        np.testing.assert_allclose(got.grid, ref.grid, rtol=self.RTOL, atol=0)
+        np.testing.assert_allclose(got.standard_errors, ref.standard_errors,
+                                   rtol=self.RTOL, atol=0)
 
 
 def with_sigma_j(base, sigma_j):
