@@ -7,14 +7,7 @@ import gc
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    from .engine import (
-        AssetParams,
-        NoiseDraw,
-        PathPair,
-        TwinPair,
-        simulate_paths,
-        terminal_pair,
-    )
+    from .engine import AssetParams, NoiseDraw, PathPair, TwinPair, simulate_paths
     from .errors import (
         InvalidParameterError,
         NumericalError,
@@ -39,7 +32,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.4.2"
+__version__ = "0.5.0"
 
 __all__ = [
     "AssetParams",
@@ -63,6 +56,5 @@ __all__ = [
     "predict_twin",
     "simulate_paths",
     "stochastic_term",
-    "terminal_pair",
     "twin_call",
 ]

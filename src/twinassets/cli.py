@@ -141,26 +141,26 @@ def _read_config(path: str) -> dict:
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
-    """Flag > config file > built-in default, per key. A flag the chosen mape
-    mode does not read is a usage error; a config file may set any known
-    key, so one file can serve every subcommand."""
+    """Flag > config file > built-in default, per key. A config file may set
+    any known key, so one file can serve every subcommand; a key that the
+    subcommand, or the chosen mape mode, does not read keeps its default
+    and is not validated. Such a flag is a usage error."""
     flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
     config = _read_config(flags["config"]) if flags.get("config") else {}
+    mode = flags.get("mode", config.get("mode", OPTIONS["mode"].default))
     merged = {}
     for name, opt in OPTIONS.items():
+        read = args.command in opt.readers and (
+            args.command != "mape" or opt.modes is None or mode in opt.modes
+        )
         if name in flags:
+            if not read:
+                raise InvalidParameterError(f"{_flag(name)} is not read by mape --mode {mode}")
             merged[name] = flags[name]
-        elif name in config:
+        elif read and name in config:
             merged[name] = config[name]
         else:
             merged[name] = opt.default
-    if args.command == "mape":
-        for name in flags:
-            modes = OPTIONS[name].modes
-            if modes is not None and merged["mode"] not in modes:
-                raise InvalidParameterError(
-                    f"{_flag(name)} is not read by mape --mode {merged['mode']}"
-                )
     return merged
 
 
@@ -248,9 +248,9 @@ def run_price(opts: dict) -> str:
     n = _replications(opts, 10000)
 
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
-    rng = substream(opts["seed"], STREAM_PRICE)
-    draw = NoiseDraw.sample(rng, n)
-    mean, std = _mean_std(twin_call(pair, spec, draw))
+    draw = NoiseDraw.sample(substream(opts["seed"], STREAM_PRICE), n)
+    log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
+    mean, std = _mean_std(twin_call(pair, spec, log_b))
     mean, se = float(mean), float(std / np.sqrt(n))
     if not (np.isfinite(mean) and np.isfinite(se)):
         raise NumericalError(

@@ -1,13 +1,13 @@
-"""Correlated lognormal asset dynamics, sampled through the exact solution.
+"""Correlated lognormal asset dynamics, and the noise of the twin approximation.
 
-Two assets share a driving noise: asset j is driven by z_j alone, asset i
-by the mix rho*z_j + sqrt(1-rho^2)*z_tilde, so their log-returns have
-correlation rho. Terminal values come from the closed-form lognormal
-solution; path simulation applies the same closed form per step, so there
-is no discretization bias at any step size.
+`simulate_paths` samples both assets on a time grid through the exact
+lognormal solution, one step at a time, so there is no discretization
+bias at any step size. Asset j is driven by z_j alone, asset i by the mix
+rho*z_j + sqrt(1-rho^2)*z_tilde, so their log-returns have correlation rho.
 
-All operations accept either scalars or numpy arrays in the NoiseDraw
-slots and broadcast accordingly.
+`NoiseDraw` holds the two fresh noises (z_x, z_y) of the twin
+approximation. Its stochastic term log B reads nothing else of a
+replication, and neither do the MAPE cells and the twin price.
 """
 
 import math
@@ -60,29 +60,20 @@ class TwinPair:
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """Unit-normal components of one replication.
-
-    z_j and z_tilde drive the simulated pair; z_x and z_y are the fresh
-    independent noises of the twin approximation. Wiener increments over a
-    horizon tau are z * sqrt(tau). Fields may be scalars or equal-shape
-    numpy arrays (one entry per replication).
+    """The two fresh independent unit normals (z_x, z_y) of one replication
+    of the twin approximation, the only noise its stochastic term log B
+    reads. Wiener increments over a horizon tau are z * sqrt(tau). Fields
+    may be scalars or equal-shape numpy arrays (one entry per replication).
     """
 
-    z_j: float | np.ndarray
-    z_tilde: float | np.ndarray
     z_x: float | np.ndarray
     z_y: float | np.ndarray
 
     @classmethod
     def sample(cls, rng: np.random.Generator, n: int | None = None) -> "NoiseDraw":
-        """Draw the four components from `rng` (scalars if n is None)."""
+        """Draw z_x, then z_y, from `rng` (scalars if n is None)."""
         size = None if n is None else int(n)
-        return cls(
-            z_j=rng.standard_normal(size),
-            z_tilde=rng.standard_normal(size),
-            z_x=rng.standard_normal(size),
-            z_y=rng.standard_normal(size),
-        )
+        return cls(z_x=rng.standard_normal(size), z_y=rng.standard_normal(size))
 
 
 @dataclass(frozen=True)
@@ -92,28 +83,6 @@ class PathPair:
     times: np.ndarray
     path_i: np.ndarray
     path_j: np.ndarray
-
-
-def _log_returns(pair: TwinPair, tau, z_j, z_tilde):
-    """Exact log-returns (mu - sigma^2/2)*tau + sigma*sqrt(tau)*z of assets i and j
-    over horizon tau: j sees z_j, i the mix rho*z_j + sqrt(1-rho^2)*z_tilde."""
-    z_i = pair.rho * z_j + np.sqrt(1.0 - pair.rho**2) * z_tilde
-    return [
-        (asset.mu - 0.5 * asset.sigma**2) * tau + asset.sigma * np.sqrt(tau) * z
-        for asset, z in ((pair.asset_i, z_i), (pair.asset_j, z_j))
-    ]
-
-
-def terminal_pair(pair: TwinPair, tau: float, draw: NoiseDraw):
-    """Terminal values (S_i, S_j) of the correlated pair over horizon tau.
-
-    Asset j sees z_j; asset i sees rho*z_j + sqrt(1-rho^2)*z_tilde, which
-    realises the target return correlation rho while sharing z_j.
-    """
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    log_i, log_j = _log_returns(pair, tau, draw.z_j, draw.z_tilde)
-    return pair.asset_i.spot * np.exp(log_i), pair.asset_j.spot * np.exp(log_j)
 
 
 def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPair:
@@ -131,7 +100,11 @@ def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPa
     rng = substream(seed, STREAM_PATHS)
     z_j = rng.standard_normal(n_steps)
     z_tilde = rng.standard_normal(n_steps)
-    log_i, log_j = _log_returns(pair, dt, z_j, z_tilde)
+    z_i = pair.rho * z_j + np.sqrt(1.0 - pair.rho**2) * z_tilde
+    log_i, log_j = [
+        (asset.mu - 0.5 * asset.sigma**2) * dt + asset.sigma * np.sqrt(dt) * z
+        for asset, z in ((pair.asset_i, z_i), (pair.asset_j, z_j))
+    ]
 
     times = dt * np.arange(n_steps + 1)
     path_i = pair.asset_i.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_i)]))

@@ -6,9 +6,11 @@ through mu_j only). Asset experiments compare the twin prediction of the
 simulated terminal value against the truth; option experiments compare
 per-replication twin call prices against a fixed Black-Scholes benchmark.
 
-Every cell of a grid reads the same draw of n replications, taken once
-per grid from the substream (master seed, stream): common random numbers,
-so differences between cells carry little Monte Carlo noise. A cell's
+Both compare through log B, the stochastic term of the twin relation.
+Every cell of a grid reads the same two-normal draw of n replications,
+taken once per grid from the substream (master seed, stream), and forms
+its own log B of it in its worker's scratch: common random numbers, so
+differences between cells carry little Monte Carlo noise. A cell's
 value depends only on the seed, n and its own (rho, alpha), never on the
 rest of the grid, the thread count or the schedule.
 """
@@ -163,33 +165,34 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     return MapeGrid(grid=mape, spec=grid, standard_errors=se)
 
 
+def _log_b(pair: TwinPair, tau: float, draw: NoiseDraw, scratch: np.ndarray) -> np.ndarray:
+    """log B = kappa_x*z_x - kappa_y*z_y over horizon tau for every
+    replication of the draw, formed in scratch[0] (scratch[1] is overwritten)."""
+    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
+    log_b, term = scratch
+    np.multiply(kappa_x, draw.z_x, out=log_b)
+    np.multiply(kappa_y, draw.z_y, out=term)
+    return np.subtract(log_b, term, out=log_b)
+
+
 def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     """Asset-prediction MAPE: 100/N * sum |S'_j - S_j| / S_j per cell.
 
-    Each replication simulates the correlated pair over the horizon from
-    (z_j, z_tilde) and predicts S_j from S_i with the fresh noises
-    (z_x, z_y). log(S'_j / S_j) is the stochastic term log B at
-    u = z_x - z_j and v = z_y - z_tilde (see `twin.stochastic_term`), so
-    the relative error is |expm1| of it, and the shared draw is read only
-    through u and v, formed once per grid in the buffers of z_x and z_y.
-    The draw is then dropped, so z_j and z_tilde are freed before any cell
-    runs and the grid holds (2 + 2*threads)*n doubles.
+    The truth S_j is simulated over the horizon tau from the pair's own
+    noises (z_j, z_tilde), the prediction S'_j from S_i and fresh noises.
+    log(S'_j / S_j) is log B at the differences of the two, which are
+    independent N(0, 2) (see `twin.stochastic_term`), so the relative error
+    is |expm1| of it and a cell needs no simulated pair.
     """
     _check_threads(threads)
-    tau = grid.horizon
+    # kappa(2*tau) = sqrt(2)*kappa(tau), so log B over 2*tau at unit normals
+    # has the law of log B over tau at the N(0, 2) differences
+    horizon = 2 * grid.horizon
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
-    u = np.subtract(draw.z_x, draw.z_j, out=draw.z_x)
-    v = np.subtract(draw.z_y, draw.z_tilde, out=draw.z_y)
-    del draw
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        kappa_x, kappa_y = stochastic_coefficients(pair, tau)
-        ape, term = scratch
-        # |expm1(log B(u, v))|, log B = kappa_x*u - kappa_y*v, in the scratch rows
-        np.multiply(kappa_x, u, out=ape)
-        np.multiply(kappa_y, v, out=term)
-        np.subtract(ape, term, out=ape)
+        ape = _log_b(pair, horizon, draw, scratch)
         np.expm1(ape, out=ape)
         np.abs(ape, out=ape)
         return _mean_std(ape)
@@ -202,9 +205,8 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
 
     The benchmark c_j is the Black-Scholes price of the call on asset j,
     computed once; only the twin estimate varies per replication, through
-    the (z_x, z_y) of the grid's shared draw. Those noises live over the
-    option maturity, so the grid horizon is not read; the CLI builds the
-    option grid at `spec.maturity`.
+    log B over the option maturity. So the grid horizon is not read; the
+    CLI builds the option grid at `spec.maturity`.
     """
     _check_threads(threads)
     benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
@@ -213,7 +215,7 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
         # |c' - c| / c in the fresh price array
-        ape = twin_call(pair, spec, draw)
+        ape = twin_call(pair, spec, _log_b(pair, spec.maturity, draw, scratch))
         np.subtract(ape, benchmark, out=ape)
         np.abs(ape, out=ape)
         np.divide(ape, benchmark, out=ape)

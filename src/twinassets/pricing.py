@@ -5,8 +5,9 @@ asset i: the payoff is rewritten as (A*B*(S_i^T)^(alpha*sigma_j/sigma_i)
 - K_j)^+, and the risk-neutral expectation over S_i^T is solved in closed
 form with the d1/d2 analogues g1 and g2 (g1 = g2 + alpha*sigma_j*sqrt(tau)),
 every product of the twin relation taken as a sum of logs. Because B is
-stochastic, the closed form is conditional on one draw of its two noises;
-averaging over draws is the caller's job (see the experiment harness).
+stochastic, the closed form is conditional on one value of log B, which
+the caller forms from a draw of its two noises (`twin.stochastic_term`);
+averaging over draws is the caller's job too (see the experiment harness).
 The quadrature oracle that checks the closed form lives with the tests
 (`tests/conftest.py`) and shares none of its arithmetic.
 
@@ -27,9 +28,9 @@ import scipy.integrate  # noqa: F401 -- kept for bench/run.py
 from scipy.special import ndtr
 from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/spans.py
 
-from .engine import NoiseDraw, TwinPair
+from .engine import TwinPair
 from .errors import InvalidParameterError, UnsupportedSimilarityError
-from .twin import alpha, deterministic_term, stochastic_term, twin_exponent
+from .twin import alpha, deterministic_term, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,27 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     return spot * normal_cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(d2)
 
 
-def twin_call(pair: TwinPair, spec: OptionSpec, draw: NoiseDraw):
-    """Closed-form twin call price conditional on one draw of (z_x, z_y).
+def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
+    """Closed-form twin call price conditional on the stochastic term log B
+    over the maturity (a scalar, or an array of one per replication).
 
     c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
     F = S_i*exp(log(A*B) + (e-1)*(log S_i + (r + alpha*sigma_j*sigma_i/2)*tau)),
     g2 = (log S_i - (log K - log(A*B))/e + (r - sigma_i^2/2)*tau) / (sigma_i*sqrt(tau)),
-    g1 = g2 + alpha*sigma_j*sqrt(tau), with log(A*B) the sum of
-    `deterministic_term` and `stochastic_term`; an array of prices when the
-    draw components are arrays. F is taken as one exp of a log sum, so
-    neither S_i^e nor A*B has to be representable on its own, and with one
-    S_i kept out of the exp identical twins (e = 1, log A = log B = 0) give
-    F = S_i exactly: the price then reduces to `bs_call` bit for bit. Tiny
-    negative closed-form values from cancellation are clipped to 0.
+    g1 = g2 + alpha*sigma_j*sqrt(tau), log(A*B) = `deterministic_term` +
+    log_b; an array of prices when log_b is an array. F is taken as one exp
+    of a log sum, so neither S_i^e nor A*B has to be representable on its
+    own, and with one S_i kept out of the exp identical twins (e = 1,
+    log A = log B = 0) give F = S_i exactly: the price then reduces to
+    `bs_call` bit for bit. Tiny negative closed-form values from
+    cancellation are clipped to 0.
     """
     a = alpha(pair)
     if a <= 0:
         raise UnsupportedSimilarityError(f"twin pricing requires alpha > 0, got alpha = {a}")
     tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    log_ab = deterministic_term(pair, tau) + stochastic_term(pair, tau, draw.z_x, draw.z_y)
+    log_ab = deterministic_term(pair, tau) + log_b
     log_spot = np.log(pair.asset_i.spot)
     # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B), over vol
     g2 = (log_spot - sig_i / (a * sig_j) * (np.log(spec.strike) - log_ab)

@@ -6,8 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from twinassets import AssetParams, NumericalError, TwinPair, UnsupportedSimilarityError
-from twinassets.engine import terminal_pair
-from twinassets.twin import alpha, deterministic_term, stochastic_term, twin_exponent
+from twinassets.twin import alpha, deterministic_term, predict_twin, stochastic_term, twin_exponent
 
 
 @pytest.fixture
@@ -34,8 +33,38 @@ def reference_bs_call(spot, strike, rate, sigma, tau):
     return spot * ncdf(d1) - strike * math.exp(-rate * tau) * ncdf(d2)
 
 
-def twin_call_quadrature(pair, spec, draw) -> float:
-    """Twin call price of one scalar draw via adaptive quadrature of the
+def terminal_pair(pair, tau, z_j, z_tilde):
+    """Terminal values (S_i, S_j) of the correlated pair over horizon tau,
+    each spot * exp((mu - sigma^2/2)*tau + sigma*sqrt(tau)*z): asset j sees
+    z_j, asset i the mix rho*z_j + sqrt(1-rho^2)*z_tilde.
+
+    Oracle of the unreduced model, the truth that the twin relation
+    predicts; the package samples the same law step by step in
+    `simulate_paths`.
+    """
+    z_i = pair.rho * z_j + np.sqrt(1.0 - pair.rho**2) * z_tilde
+    s_i = pair.asset_i.spot * np.exp(
+        (pair.asset_i.mu - 0.5 * pair.asset_i.sigma**2) * tau
+        + pair.asset_i.sigma * np.sqrt(tau) * z_i)
+    s_j = pair.asset_j.spot * np.exp(
+        (pair.asset_j.mu - 0.5 * pair.asset_j.sigma**2) * tau
+        + pair.asset_j.sigma * np.sqrt(tau) * z_j)
+    return s_i, s_j
+
+
+def unreduced_ape(pair, tau, z):
+    """|S'_j - S_j| / S_j per replication of the four-normal draw
+    z = (z_j, z_tilde, z_x, z_y): the truth simulated by `terminal_pair`
+    from (z_j, z_tilde), the prediction `predict_twin` makes from its S_i
+    with the fresh noises (z_x, z_y)."""
+    z_j, z_tilde, z_x, z_y = z
+    s_i, s_j = terminal_pair(pair, tau, z_j, z_tilde)
+    log_b = stochastic_term(pair, tau, z_x, z_y)
+    return np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j
+
+
+def twin_call_quadrature(pair, spec, log_b) -> float:
+    """Twin call price at one scalar log B via adaptive quadrature of the
     risk-neutral integral:
 
     c ~ exp(-r*tau)/sqrt(2*pi) * int_{-g2}^{inf}
@@ -44,7 +73,7 @@ def twin_call_quadrature(pair, spec, draw) -> float:
 
     The first term is evaluated as one exp of its log, kernel included.
     Oracle for `twin_call`, agreeing to 1e-6 relative: log(A*B) and g2 are
-    formed here from the public twin terms, not by `twin_call`'s code.
+    formed here from log A and log_b, not by `twin_call`'s code.
     """
     a = alpha(pair)
     if a <= 0:
@@ -54,7 +83,7 @@ def twin_call_quadrature(pair, spec, draw) -> float:
     tau = spec.maturity
     sig_i = pair.asset_i.sigma
     expo = twin_exponent(pair)
-    log_ab = deterministic_term(pair, tau) + stochastic_term(pair, tau, draw.z_x, draw.z_y)
+    log_ab = deterministic_term(pair, tau) + log_b
     # ln S_i at maturity is normal with this mean and standard deviation
     log_mean = math.log(pair.asset_i.spot) + (spec.rate - 0.5 * sig_i**2) * tau
     vol = sig_i * math.sqrt(tau)
@@ -84,10 +113,10 @@ def twin_call_quadrature(pair, spec, draw) -> float:
     return max(price, 0.0)
 
 
-def exact_relation_residual(pair, tau, draw):
+def exact_relation_residual(pair, tau, z_j, z_tilde):
     """Relative gap of the exact twin relation under shared noise.
 
-    Simulates (S_i, S_j) from (z_j, z_tilde), then evaluates the relation's
+    Simulates (S_i, S_j) from (z_j, z_tilde) by `terminal_pair`, then evaluates the relation's
     log sum log A + log B + e*log S_i with the stochastic term driven by
     those SAME noises (W_x := W_j, W_y := W_tilde). The relation is then an
     algebraic identity, so the residual is pure floating-point noise
@@ -96,17 +125,17 @@ def exact_relation_residual(pair, tau, draw):
     add no rounding of their own: what is left is that of the simulated
     pair. An array draw takes them in float arithmetic.
     """
-    s_i, s_j = terminal_pair(pair, tau, draw)
+    s_i, s_j = terminal_pair(pair, tau, z_j, z_tilde)
     if np.ndim(s_i) == 0:
         with decimal.localcontext() as ctx:
             ctx.prec = 40
             dec = decimal.Decimal
             root_tau = dec(tau).sqrt()
             _, _, terms = decimal_twin_terms(
-                pair, tau, s_i, dec(draw.z_j) * root_tau, dec(draw.z_tilde) * root_tau
+                pair, tau, s_i, dec(z_j) * root_tau, dec(z_tilde) * root_tau
             )
             return abs(float((sum(terms) - dec(s_j).ln()).exp() - 1))
-    log_b = stochastic_term(pair, tau, draw.z_j, draw.z_tilde)
+    log_b = stochastic_term(pair, tau, z_j, z_tilde)
     log_prediction = deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i)
     return np.abs(np.expm1(log_prediction - np.log(s_j)))
 

@@ -18,7 +18,8 @@ from twinassets import (
     bs_call,
     mape_asset,
     mape_option,
-    terminal_pair,
+    simulate_paths,
+    stochastic_term,
     twin_call,
 )
 from twinassets.cli import main
@@ -145,7 +146,8 @@ def test_criterion_6_identity_oracle():
             rho=rng.uniform(-1, 1),
         )
         tau = rng.uniform(1 / 252, 2.0)
-        residual = float(exact_relation_residual(pair, tau, NoiseDraw.sample(rng)))
+        residual = float(exact_relation_residual(pair, tau, rng.standard_normal(),
+                                                 rng.standard_normal()))
         worst = max(worst, residual)
     report(6, "exact twin relation residual <= 1e-12 on 10000 random samples",
            worst <= 1e-12, f"worst={worst:.3e}")
@@ -170,8 +172,9 @@ def test_criterion_7_pricing_oracle_equivalence():
         spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                           rate=rng.uniform(0.0, 0.1))
         draw = NoiseDraw.sample(rng)
-        closed = float(twin_call(pair, spec, draw))
-        quadrature = twin_call_quadrature(pair, spec, draw)
+        log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
+        closed = float(twin_call(pair, spec, log_b))
+        quadrature = twin_call_quadrature(pair, spec, log_b)
         # deep-OTM prices underflow to 0 on both routes; scale guards 0/0
         worst = max(worst, abs(closed - quadrature) / max(closed, quadrature, 1e-10))
         count += 1
@@ -188,7 +191,9 @@ def test_criterion_8_identical_twin_reduction():
         pair = TwinPair(asset_i=params, asset_j=params, rho=1.0)
         spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2.0),
                           rate=rng.uniform(0.0, 0.1))
-        twin = float(twin_call(pair, spec, NoiseDraw.sample(rng)))
+        draw = NoiseDraw.sample(rng)
+        log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
+        twin = float(twin_call(pair, spec, log_b))
         reference = bs_call(params.spot, spec, params.sigma)
         worst = max(worst, abs(twin - reference) / reference)
     report(8, "identical-twin twin_call equals bs_call within 1e-12 on 50 specs",
@@ -203,10 +208,11 @@ def test_criterion_9_engine_statistics():
         asset_j=AssetParams(mu=0.8, sigma=0.4, spot=90.0),
         rho=rho,
     )
-    tau = 1.0
-    draw = NoiseDraw.sample(np.random.default_rng(SEED + 3), n)
-    s_i, s_j = terminal_pair(pair, tau, draw)
-    r_i, r_j = np.log(s_i / 80.0), np.log(s_j / 90.0)
+    # the step log-returns of one path; at dt = 1 the path would overflow
+    # long before n steps (log S_j grows by 0.72 a step)
+    tau = 1 / 252
+    paths = simulate_paths(pair, n, tau, SEED + 3)
+    r_i, r_j = np.diff(np.log(paths.path_i)), np.diff(np.log(paths.path_j))
 
     ok = True
     details = []

@@ -2,8 +2,9 @@
 that breaks the traced benchmark run fails these tests first.
 
 The benchmark reads the cumulative import time of `scipy.stats` and
-`scipy.integrate` from `python -X importtime`, and `bench/spans.py`
-rebinds the package's functions (and `pricing.norm`) to trace them. Its
+`scipy.integrate` from `python -X importtime`. `bench/spans.py` rebinds
+the package's functions (and `pricing.norm`) to trace them, and
+`engine.NoiseDraw.sample` to count the normals drawn and read. Its
 speed-up child (`bench/child.py speedup`) times `mape_asset` at 1 and 2
 threads. Each check runs in a fresh interpreter with `src/` and `bench/` on the path,
 as the benchmark's own children do.
@@ -52,16 +53,13 @@ with open(sys.argv[2], encoding="utf-8") as fh:
 """
 
 
-# the asset grid reads all four normals of its draw, the option grid z_x and z_y
-DRAWS_USED = {"asset": 1.0, "option": 0.5}
-
-
-@pytest.mark.parametrize("mode", list(DRAWS_USED))
+# both grids draw z_x and z_y once per replication and read both
+@pytest.mark.parametrize("mode", ["asset", "option"])
 def test_traced_grid_runs(mode, tmp_path):
     metrics = json.loads(python("-c", TRACED_GRID, mode, str(tmp_path / "trace.json")).stdout)
     assert metrics["harness.cells"] == 4
-    assert metrics["engine.normal_draws"] == 4 * 100
-    assert metrics["engine.draws_used_ratio"] == DRAWS_USED[mode]
+    assert metrics["engine.normal_draws"] == 2 * 100
+    assert metrics["engine.draws_used_ratio"] == 1.0
 
 
 def test_speedup_child_times_both_thread_counts(tmp_path):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import decimal_predict_twin, decimal_twin_call
-from twinassets import AssetParams, NoiseDraw, OptionSpec, TwinPair, alpha_to_mu_j, twin_call
+from twinassets import (
+    AssetParams,
+    NoiseDraw,
+    OptionSpec,
+    TwinPair,
+    alpha_to_mu_j,
+    stochastic_term,
+    twin_call,
+)
 from twinassets.cli import main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
@@ -175,7 +183,8 @@ class TestPrice:
         record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         draw = NoiseDraw.sample(substream(3, STREAM_PRICE), n)
-        prices = twin_call(default_pair(alpha, rho=rho), spec, draw)
+        pair = default_pair(alpha, rho=rho)
+        prices = twin_call(pair, spec, stochastic_term(pair, 0.25, draw.z_x, draw.z_y))
         deterministic = n == 1 or (rho, alpha) == (1.0, 1.0)
         se = 0.0 if deterministic else np.std(prices, ddof=1) / np.sqrt(n)
         assert float(record["twin_price_mean"]).hex() == float(np.mean(prices)).hex()
@@ -364,11 +373,12 @@ class TestMape:
         assert out.read_bytes() == plain.read_bytes()
 
     def test_non_finite_cell_numerical_error(self, tmp_path, capsys):
-        # sigma_j = 30 over two years: e^(s^2/2) overflows, so every cell is inf or nan
+        # sigma_j = 30 over two years: log B has a standard deviation of 306 at
+        # alpha = 5, so that cell overflows; at alpha = 1 (85) that depends on the draw
         code, out = run(tmp_path, "mape", "--rho-grid", "0", "--alpha-grid", "1,5",
                         "--sigma-j", "30", "--horizon", "2")
         assert code == 4
-        assert "rho=0.0, alpha=1.0" in capsys.readouterr().err
+        assert "rho=0.0, alpha=5.0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -468,6 +478,27 @@ class TestFlagsPerSubcommand:
             code, out = run(tmp_path, command, "--config", str(cfg), name=f"{command}.out")
             assert code == 0
             assert out.stat().st_size > 0
+
+    @pytest.mark.parametrize("line, message", [
+        ("rho = 2", "rho must lie in [-1, 1], got 2.0"),
+        ("alpha = -1", "alpha_target must be > 0, got -1.0"),
+        ("mu_j = nan", "asset j: mu must be finite, got nan"),
+    ])
+    def test_config_key_mape_does_not_read_is_not_validated(self, line, message, tmp_path,
+                                                            capsys):
+        # every mape cell sets mu_j and rho itself
+        cfg = tmp_path / "pair.cfg"
+        cfg.write_text(line + "\n")
+        for mode in ("asset", "option"):
+            args = ("mape", "--mode", mode, "--rho-grid", "0,1", "--alpha-grid", "0.9,1",
+                    "--n", "200")
+            code, out = run(tmp_path, *args, "--config", str(cfg), name="config.csv")
+            assert code == 0
+            _, plain = run(tmp_path, *args, name="plain.csv")
+            assert out.read_bytes() == plain.read_bytes()
+        for command in ("simulate", "price"):
+            assert run(tmp_path, command, "--config", str(cfg))[0] == 2
+            assert capsys.readouterr().err == f"error: validation: {message}\n"
 
     def test_flag_checked_against_mode_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "option.cfg"

@@ -4,19 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from twinassets import (
-    AssetParams,
-    InvalidParameterError,
-    NoiseDraw,
-    TwinPair,
-    simulate_paths,
-    terminal_pair,
-)
+from conftest import terminal_pair
+from twinassets import AssetParams, InvalidParameterError, NoiseDraw, TwinPair, simulate_paths
 from twinassets.seeding import STREAM_PATHS, substream
 
+BASE_I = AssetParams(mu=0.4, sigma=0.2, spot=80.0)
+BASE_J = AssetParams(mu=0.8, sigma=0.4, spot=90.0)
 
-def zero_draw():
-    return NoiseDraw(z_j=0.0, z_tilde=0.0, z_x=0.0, z_y=0.0)
+
+def step_log_returns(pair, n_steps, dt, seed):
+    """The log-returns of the n_steps steps of one `simulate_paths` run."""
+    paths = simulate_paths(pair, n_steps, dt, seed)
+    return np.diff(np.log(paths.path_i)), np.diff(np.log(paths.path_j))
 
 
 class TestValidation:
@@ -39,67 +38,63 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             TwinPair(asset_i=a, asset_j=b, rho=0.5)
 
-    def test_nonpositive_tau(self, section3_pair):
-        with pytest.raises(InvalidParameterError):
-            terminal_pair(section3_pair, 0.0, zero_draw())
+
+class TestNoiseDraw:
+    def test_draws_z_x_then_z_y(self):
+        draw = NoiseDraw.sample(np.random.default_rng(9), 5)
+        z = np.random.default_rng(9).standard_normal(10)
+        assert draw.z_x.tobytes() == z[:5].tobytes()
+        assert draw.z_y.tobytes() == z[5:].tobytes()
+
+    def test_scalar_draw(self):
+        draw = NoiseDraw.sample(np.random.default_rng(9))
+        assert np.ndim(draw.z_x) == 0 and np.ndim(draw.z_y) == 0
 
 
 class TestTerminalPair:
+    """One step of `simulate_paths` is the exact terminal pair over dt;
+    these check the law of its steps."""
+
     def test_deterministic_drift_limit(self):
-        # sigma -> 0: terminal value collapses onto the drift.
+        # sigma -> 0: each step collapses onto the drift.
         a = AssetParams(mu=0.3, sigma=1e-12, spot=50.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=0.5)
-        s_i, _ = terminal_pair(pair, 1.0, zero_draw())
-        assert s_i == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
+        paths = simulate_paths(pair, 1, 1.0, seed=4)
+        assert paths.path_i[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
+        assert paths.path_j[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
 
-    def test_section3_zero_noise_value(self, section3_pair):
-        # Frozen from direct scalar evaluation: 80 * e^{0.4 - 0.02}.
-        s_i, s_j = terminal_pair(section3_pair, 1.0, zero_draw())
-        assert s_i == pytest.approx(116.98276715473796, rel=1e-14)
-        assert s_j == pytest.approx(90.0 * math.exp(0.8 - 0.08), rel=1e-14)
+    def test_rho_one_ignores_z_tilde(self):
+        # at rho = 1 asset i sees z_j alone: both standardised step returns
+        # are the same z_j
+        pair = TwinPair(asset_i=BASE_I, asset_j=BASE_J, rho=1.0)
+        dt = 0.5
+        r_i, r_j = step_log_returns(pair, 1000, dt, seed=12)
+        z = [(r - (a.mu - 0.5 * a.sigma**2) * dt) / (a.sigma * math.sqrt(dt))
+             for r, a in ((r_i, BASE_I), (r_j, BASE_J))]
+        np.testing.assert_allclose(z[0], z[1], rtol=0, atol=1e-9)
 
-    def test_rho_one_ignores_z_tilde(self, section3_pair):
-        d1 = NoiseDraw(z_j=0.7, z_tilde=5.0, z_x=0.0, z_y=0.0)
-        d2 = NoiseDraw(z_j=0.7, z_tilde=-3.0, z_x=0.0, z_y=0.0)
-        assert terminal_pair(section3_pair, 0.5, d1) == terminal_pair(section3_pair, 0.5, d2)
-
-    def test_pure_function_bit_identical(self, section3_pair):
-        d = NoiseDraw(z_j=0.3, z_tilde=-1.1, z_x=0.2, z_y=0.9)
-        assert terminal_pair(section3_pair, 0.25, d) == terminal_pair(section3_pair, 0.25, d)
-
-    def test_drift_discounted_martingale(self, section3_pair):
+    def test_drift_discounted_martingale(self):
         n = 40000
-        rng = np.random.default_rng(42)
-        draw = NoiseDraw.sample(rng, n)
-        tau = 0.5
-        s_i, s_j = terminal_pair(section3_pair, tau, draw)
-        for s, params in ((s_i, section3_pair.asset_i), (s_j, section3_pair.asset_j)):
-            discounted = s * np.exp(-params.mu * tau)
+        dt = 1 / 252
+        pair = TwinPair(asset_i=BASE_I, asset_j=BASE_J, rho=1.0)
+        for r, params in zip(step_log_returns(pair, n, dt, seed=42), (BASE_I, BASE_J)):
+            discounted = np.exp(r - params.mu * dt)
             se = np.std(discounted, ddof=1) / np.sqrt(n)
-            assert abs(np.mean(discounted) - params.spot) < 4 * se
+            assert abs(np.mean(discounted) - 1.0) < 4 * se
 
     @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.6])
     def test_return_correlation_matches_rho(self, rho):
-        pair = TwinPair(
-            asset_i=AssetParams(mu=0.4, sigma=0.2, spot=80.0),
-            asset_j=AssetParams(mu=0.8, sigma=0.4, spot=90.0),
-            rho=rho,
-        )
+        pair = TwinPair(asset_i=BASE_I, asset_j=BASE_J, rho=rho)
         n = 40000
-        draw = NoiseDraw.sample(np.random.default_rng(7), n)
-        s_i, s_j = terminal_pair(pair, 1.0, draw)
-        r_i = np.log(s_i / 80.0)
-        r_j = np.log(s_j / 90.0)
+        r_i, r_j = step_log_returns(pair, n, 1 / 252, seed=7)
         sample = np.corrcoef(r_i, r_j)[0, 1]
         se = (1 - rho**2) / np.sqrt(n)
         assert abs(sample - rho) < 3 * se
 
-    def test_perfect_correlation(self, section3_pair):
-        n = 40000
-        draw = NoiseDraw.sample(np.random.default_rng(3), n)
-        s_i, s_j = terminal_pair(section3_pair, 1.0, draw)
-        sample = np.corrcoef(np.log(s_i), np.log(s_j))[0, 1]
-        assert sample >= 0.999
+    def test_perfect_correlation(self):
+        pair = TwinPair(asset_i=BASE_I, asset_j=BASE_J, rho=1.0)
+        r_i, r_j = step_log_returns(pair, 40000, 1 / 252, seed=3)
+        assert np.corrcoef(r_i, r_j)[0, 1] >= 0.999
 
 
 class TestSimulatePaths:
@@ -135,7 +130,7 @@ class TestSimulatePaths:
         paths = simulate_paths(pair, 4, 0.01, seed=8)
         rng = substream(8, STREAM_PATHS)
         z_j, z_tilde = rng.standard_normal(4), rng.standard_normal(4)
-        s_i, s_j = terminal_pair(pair, 0.01, NoiseDraw(z_j[0], z_tilde[0], 0.0, 0.0))
+        s_i, s_j = terminal_pair(pair, 0.01, z_j[0], z_tilde[0])
         assert paths.path_i[1].tobytes() == np.float64(s_i).tobytes()
         assert paths.path_j[1].tobytes() == np.float64(s_j).tobytes()
 
@@ -151,12 +146,10 @@ class TestLogReturn:
         params = AssetParams(mu=0.25, sigma=0.35, spot=60.0)
         pair = TwinPair(asset_i=params, asset_j=params, rho=0.0)
         n = 40000
-        tau = 0.75
-        draw = NoiseDraw.sample(np.random.default_rng(5), n)
-        _, s_j = terminal_pair(pair, tau, draw)
-        r = np.log(s_j / 60.0)
-        mean_target = (0.25 - 0.5 * 0.35**2) * tau
-        var_target = 0.35**2 * tau
+        dt = 0.75 / 252
+        _, r = step_log_returns(pair, n, dt, seed=5)
+        mean_target = (0.25 - 0.5 * 0.35**2) * dt
+        var_target = 0.35**2 * dt
         se_mean = np.std(r, ddof=1) / np.sqrt(n)
         se_var = var_target * np.sqrt(2.0 / (n - 1))
         assert abs(np.mean(r) - mean_target) < 4 * se_mean

@@ -21,14 +21,14 @@ from twinassets import (
     bs_call,
     mape_asset,
     mape_option,
-    predict_twin,
     stochastic_term,
-    terminal_pair,
     twin_call,
 )
+from conftest import unreduced_ape
 from twinassets.cli import main
 from twinassets.harness import _mean_std
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
+from twinassets.twin import stochastic_coefficients
 
 ONE_DAY = 1 / 252
 ONE_MONTH = 21 / 252
@@ -40,6 +40,12 @@ README_ALPHAS = np.linspace(0.5, 1.5, 21)
 def grid(rhos, alphas, n=10000, horizon=ONE_DAY, seed=7):
     return GridSpec(rho_values=tuple(rhos), alpha_values=tuple(alphas),
                     n_replications=n, horizon=horizon, master_seed=seed)
+
+
+def cell_pair(base, rho, alpha_value):
+    """The pair of the grid cell (rho, alpha) over base, as the harness builds it."""
+    mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, base.asset_j.sigma)
+    return replace(base, asset_j=replace(base.asset_j, mu=mu_j), rho=float(rho))
 
 
 class TestGridSpec:
@@ -136,20 +142,46 @@ class TestLogRatioKernel:
     def test_matches_unreduced_relation(self, section3_pair, tau):
         # per replication, the reduced kernel log B(u, v) against the
         # prediction A*B*S_i^e vs the simulated S_j
-        draw = NoiseDraw.sample(np.random.default_rng(11), 500)
-        u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
+        z = np.random.default_rng(11).standard_normal((4, 500))
+        z_j, z_tilde, z_x, z_y = z
+        u, v = z_x - z_j, z_y - z_tilde
         worst = 0.0
         for rho in README_RHOS:
             for alpha_value in README_ALPHAS:
-                mu_j = alpha_to_mu_j(alpha_value, 0.4, 0.2, 0.4)
-                pair = replace(section3_pair, asset_j=replace(section3_pair.asset_j, mu=mu_j),
-                               rho=float(rho))
-                s_i, s_j = terminal_pair(pair, tau, draw)
-                log_b = stochastic_term(pair, tau, draw.z_x, draw.z_y)
-                expected = np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j
+                pair = cell_pair(section3_pair, rho, alpha_value)
+                expected = unreduced_ape(pair, tau, z)
                 ape = np.abs(np.expm1(stochastic_term(pair, tau, u, v)))
                 worst = max(worst, float(np.max(np.abs(ape - expected) / (1 + expected))))
         assert worst <= 1e-13
+
+    def test_coefficients_at_twice_the_horizon(self, section3_pair):
+        # what lets the asset cell read log B over 2*tau at unit normals
+        for tau in (ONE_DAY, ONE_MONTH, 1.0):
+            for rho in README_RHOS:
+                for alpha_value in README_ALPHAS:
+                    pair = cell_pair(section3_pair, rho, alpha_value)
+                    twice = stochastic_coefficients(pair, 2 * tau)
+                    for k2, k in zip(twice, stochastic_coefficients(pair, tau)):
+                        assert abs(k2 - math.sqrt(2) * k) <= 4 * math.ulp(k2), (rho, alpha_value)
+
+    @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grid_within_4_se_of_unreduced_path(self, section3_pair, tau, seed):
+        # the grid against the simulated pair and its prediction, on an
+        # independent four-normal draw: two estimates of each cell's MAPE
+        n = 20000
+        rhos, alphas = np.linspace(-1, 1, 9), np.linspace(0.5, 1.5, 9)
+        result = mape_asset(section3_pair, grid(rhos, alphas, n=n, horizon=tau, seed=seed))
+        z = np.random.default_rng(1000 + seed).standard_normal((4, n))
+        for l, rho in enumerate(rhos):
+            for m, alpha_value in enumerate(alphas):
+                ape = 100 * unreduced_ape(cell_pair(section3_pair, rho, alpha_value), tau, z)
+                value, se = result.grid[l, m], result.standard_errors[l, m]
+                if (rho, alpha_value) == (1.0, 1.0):
+                    assert value == 0.0 and np.max(ape) < 1e-11
+                    continue
+                se_diff = math.hypot(se, np.std(ape, ddof=1) / math.sqrt(n))
+                assert abs(value - np.mean(ape)) <= 4 * se_diff, (rho, alpha_value)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_readme_grid_within_6_se_of_closed_form(self, section3_pair, seed):
@@ -219,9 +251,9 @@ class TestThreadSplit:
 
 class TestWorkingMemory:
     """Peak of the memory numpy reports to tracemalloc, in doubles per
-    replication, while a grid runs. The asset grid holds u and v (2n) plus
-    a (2, n) scratch per worker; its 4n draw is freed before any cell runs.
-    The option grid's bound is its present working set, as a guard."""
+    replication, while a grid runs. Both grids hold their two-normal draw
+    (2n) and a (2, n) scratch per worker, in which each cell forms its log B.
+    The option cell adds the 7n temporaries of `twin_call` at its peak."""
 
     N = 100_000
     SLACK = 0.1
@@ -245,7 +277,7 @@ class TestWorkingMemory:
         g = grid([0.0, 0.5], [0.9, 1.1], n=self.N)
         spec = TestMapeOption.SPEC
         peak = self.peak_doubles_per_replication(lambda: mape_option(section3_pair, spec, g))
-        assert peak <= 13 + self.SLACK
+        assert peak <= 2 + 2 + 7 + self.SLACK
 
 
 class TestPlainOracle:
@@ -265,20 +297,19 @@ class TestPlainOracle:
         if mode == "asset":
             result = mape_asset(section3_pair, g, threads=threads)
             draw = NoiseDraw.sample(substream(5, STREAM_ASSET_MAPE), n)
-            u, v = draw.z_x - draw.z_j, draw.z_y - draw.z_tilde
         else:
             result = mape_option(section3_pair, spec, g, threads=threads)
             draw = NoiseDraw.sample(substream(5, STREAM_OPTION_MAPE), n)
             benchmark = bs_call(90.0, spec, 0.4)
         for l, rho in enumerate(self.RHOS):
             for m, alpha_value in enumerate(self.ALPHAS):
-                mu_j = alpha_to_mu_j(alpha_value, 0.4, 0.2, 0.4)
-                pair = replace(section3_pair, asset_j=replace(section3_pair.asset_j, mu=mu_j),
-                               rho=rho)
+                pair = cell_pair(section3_pair, rho, alpha_value)
                 if mode == "asset":
-                    ape = np.abs(np.expm1(stochastic_term(pair, ONE_DAY, u, v)))
+                    log_b = stochastic_term(pair, 2 * ONE_DAY, draw.z_x, draw.z_y)
+                    ape = np.abs(np.expm1(log_b))
                 else:
-                    ape = np.abs(twin_call(pair, spec, draw) - benchmark) / benchmark
+                    log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
+                    ape = np.abs(twin_call(pair, spec, log_b) - benchmark) / benchmark
                 mape = 100 * np.mean(ape)
                 if n == 1 or (rho, alpha_value) == (1.0, 1.0):
                     se = 0.0
@@ -407,12 +438,10 @@ class TestDriftInvariance:
     @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH, 1.0])
     @pytest.mark.parametrize("mu_i", MU_I)
     def test_unreduced_ape_invariant(self, section3_pair, tau, mu_i):
-        draw = NoiseDraw.sample(np.random.default_rng(13), 2000)
+        z = np.random.default_rng(13).standard_normal((4, 2000))
 
         def mean_ape(pair):
-            s_i, s_j = terminal_pair(pair, tau, draw)
-            log_b = stochastic_term(pair, tau, draw.z_x, draw.z_y)
-            return np.mean(np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j)
+            return np.mean(unreduced_ape(pair, tau, z))
 
         for rho in self.RHOS:
             for alpha_value in self.ALPHAS:

@@ -15,14 +15,16 @@ from twinassets import (
     bs_call,
     mape_option,
     normal_cdf,
+    stochastic_term,
     twin_call,
 )
 from twinassets import pricing
 from conftest import reference_bs_call, twin_call_quadrature
 
 
-def zero_draw():
-    return NoiseDraw(0.0, 0.0, 0.0, 0.0)
+def log_b_of(pair, spec, draw):
+    """log B over the maturity of a draw, as the CLI and the harness form it."""
+    return stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
 
 
 class TestNormalCdf:
@@ -46,13 +48,13 @@ class TestNormalCdf:
     def test_closed_forms_never_call_scipy_stats(self, monkeypatch, section3_pair):
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
-        draw = NoiseDraw.sample(np.random.default_rng(4), 300)
+        log_b = log_b_of(pair, spec, NoiseDraw.sample(np.random.default_rng(4), 300))
         g = GridSpec(rho_values=(0.0, 0.8), alpha_values=(0.9, 1.2), n_replications=300,
                      horizon=0.25, master_seed=5)
 
         def values():
             grid = mape_option(section3_pair, spec, g)
-            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, draw).tobytes(),
+            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, log_b).tobytes(),
                     grid.grid.tobytes(), grid.standard_errors.tobytes())
 
         expected = values()
@@ -158,15 +160,15 @@ class TestTwinCall:
             pair = identical_twin_pair(rng)
             spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2),
                               rate=rng.uniform(0, 0.1))
-            draw = NoiseDraw.sample(rng)
+            log_b = log_b_of(pair, spec, NoiseDraw.sample(rng))
             # e = 1 and log A = log B = 0 exactly, so the twin forward is S_i
-            assert twin_call(pair, spec, draw) == bs_call(pair.asset_j.spot, spec,
-                                                          pair.asset_j.sigma)
+            assert twin_call(pair, spec, log_b) == bs_call(pair.asset_j.spot, spec,
+                                                           pair.asset_j.sigma)
 
     def test_section3_perfect_twin_finite_price(self, section3_pair):
         # Frozen closed-form value at (rho, alpha) = (1, 1); B = 1 for any draw.
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
-        price = twin_call(section3_pair, spec, NoiseDraw(0.7, -0.2, 1.4, 0.5))
+        price = twin_call(section3_pair, spec, log_b_of(section3_pair, spec, NoiseDraw(1.4, 0.5)))
         assert price == pytest.approx(8.350349700908367, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
@@ -177,21 +179,20 @@ class TestTwinCall:
         )
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         with pytest.raises(UnsupportedSimilarityError):
-            twin_call(pair, spec, zero_draw())
+            twin_call(pair, spec, 0.0)
         with pytest.raises(UnsupportedSimilarityError):
-            twin_call_quadrature(pair, spec, zero_draw())
+            twin_call_quadrature(pair, spec, 0.0)
 
     def test_vectorized_draw(self, section3_pair):
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
-        draw = NoiseDraw.sample(np.random.default_rng(1), 64)
-        prices = twin_call(pair, spec, draw)
+        log_b = log_b_of(pair, spec, NoiseDraw.sample(np.random.default_rng(1), 64))
+        prices = twin_call(pair, spec, log_b)
         assert prices.shape == (64,)
         assert np.all(prices >= 0)
-        # a scalar draw gives a scalar, the same as its entry of the array draw
-        for k, z in enumerate(zip(draw.z_j.tolist(), draw.z_tilde.tolist(),
-                                  draw.z_x.tolist(), draw.z_y.tolist())):
-            price = twin_call(pair, spec, NoiseDraw(*z))
+        # a scalar log B gives a scalar, the same as its entry of the array
+        for k, value in enumerate(log_b.tolist()):
+            price = twin_call(pair, spec, value)
             assert type(price) is np.float64
             assert price.tobytes() == prices[k].tobytes()
 
@@ -203,9 +204,9 @@ class TestQuadratureOracle:
             pair = random_positive_alpha_pair(rng)
             spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                               rate=rng.uniform(0, 0.1))
-            draw = NoiseDraw.sample(rng)
-            closed = float(twin_call(pair, spec, draw))
-            quad = twin_call_quadrature(pair, spec, draw)
+            log_b = log_b_of(pair, spec, NoiseDraw.sample(rng))
+            closed = float(twin_call(pair, spec, log_b))
+            quad = twin_call_quadrature(pair, spec, log_b)
             assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_deep_itm_limit(self, section3_pair):
@@ -213,12 +214,11 @@ class TestQuadratureOracle:
         from twinassets import deterministic_term
 
         spec = OptionSpec(strike=1e-9, maturity=0.25, rate=0.05)
-        draw = zero_draw()
         a_term = math.exp(deterministic_term(section3_pair, 0.25))
         expo = 2.0  # alpha * sigma_j / sigma_i at section-3 parameters
         forward = a_term * 80.0**expo * math.exp((expo - 1) * (0.05 + 0.5 * 0.4 * 0.2) * 0.25)
-        closed = float(twin_call(section3_pair, spec, draw))
-        quad = twin_call_quadrature(section3_pair, spec, draw)
+        closed = float(twin_call(section3_pair, spec, 0.0))
+        quad = twin_call_quadrature(section3_pair, spec, 0.0)
         assert closed == pytest.approx(forward, rel=1e-9)
         assert quad == pytest.approx(forward, rel=1e-6)
 
@@ -227,16 +227,15 @@ class TestQuadratureOracle:
         # twin_call shows as a gap instead of moving both prices together
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho=0.6)
-        draw = NoiseDraw(0.7, -0.2, 1.4, 0.5)
-        oracle = twin_call_quadrature(pair, spec, draw)
-        assert float(twin_call(pair, spec, draw)) == pytest.approx(oracle, rel=1e-6)
+        log_b = log_b_of(pair, spec, NoiseDraw(1.4, 0.5))
+        oracle = twin_call_quadrature(pair, spec, log_b)
+        assert float(twin_call(pair, spec, log_b)) == pytest.approx(oracle, rel=1e-6)
         log_a = pricing.deterministic_term
         monkeypatch.setattr(pricing, "deterministic_term", lambda p, tau: log_a(p, tau) + 1e-3)
-        closed = float(twin_call(pair, spec, draw))
-        assert abs(closed - twin_call_quadrature(pair, spec, draw)) > 1e-4 * oracle
+        closed = float(twin_call(pair, spec, log_b))
+        assert abs(closed - twin_call_quadrature(pair, spec, log_b)) > 1e-4 * oracle
 
     def test_deep_otm_limit(self, section3_pair):
         spec = OptionSpec(strike=1e7, maturity=0.25, rate=0.05)
-        draw = zero_draw()
-        assert float(twin_call(section3_pair, spec, draw)) < 1e-8
-        assert twin_call_quadrature(section3_pair, spec, draw) < 1e-8
+        assert float(twin_call(section3_pair, spec, 0.0)) < 1e-8
+        assert twin_call_quadrature(section3_pair, spec, 0.0) < 1e-8

@@ -14,9 +14,8 @@ from twinassets import (
     deterministic_term,
     predict_twin,
     stochastic_term,
-    terminal_pair,
 )
-from conftest import exact_relation_residual
+from conftest import exact_relation_residual, terminal_pair
 
 finite_drift = st.floats(min_value=0.01, max_value=2.0)
 vol = st.floats(min_value=0.05, max_value=1.0)
@@ -123,15 +122,14 @@ class TestPredictTwin:
     def test_twin_of_itself(self):
         a = AssetParams(mu=0.3, sigma=0.25, spot=70.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
-        draw = NoiseDraw(z_j=0.4, z_tilde=0.0, z_x=1.2, z_y=-0.3)
-        s_i, _ = terminal_pair(pair, 0.5, draw)
-        log_b = stochastic_term(pair, 0.5, draw.z_x, draw.z_y)
+        s_i, _ = terminal_pair(pair, 0.5, 0.4, 0.0)
+        log_b = stochastic_term(pair, 0.5, 1.2, -0.3)
         assert predict_twin(pair, 0.5, s_i, log_b) == pytest.approx(s_i, rel=1e-14)
 
     def test_perfect_twin_reproduces_truth_per_path(self, section3_pair):
-        draw = NoiseDraw.sample(np.random.default_rng(2), 1000)
-        s_i, s_j = terminal_pair(section3_pair, 1 / 252, draw)
-        log_b = stochastic_term(section3_pair, 1 / 252, draw.z_x, draw.z_y)
+        z_j, z_tilde, z_x, z_y = np.random.default_rng(2).standard_normal((4, 1000))
+        s_i, s_j = terminal_pair(section3_pair, 1 / 252, z_j, z_tilde)
+        log_b = stochastic_term(section3_pair, 1 / 252, z_x, z_y)
         predicted = predict_twin(section3_pair, 1 / 252, s_i, log_b)
         assert np.max(np.abs(predicted - s_j) / s_j) < 1e-12
 
@@ -139,9 +137,9 @@ class TestPredictTwin:
         rng = np.random.default_rng(8)
         for _ in range(200):
             pair = random_pair(rng)
-            draw = NoiseDraw.sample(rng)
-            s_i, _ = terminal_pair(pair, rng.uniform(0.01, 2.0), draw)
-            log_b = stochastic_term(pair, 0.5, draw.z_x, draw.z_y)
+            z_j, z_tilde, z_x, z_y = rng.standard_normal(4)
+            s_i, _ = terminal_pair(pair, rng.uniform(0.01, 2.0), z_j, z_tilde)
+            log_b = stochastic_term(pair, 0.5, z_x, z_y)
             assert predict_twin(pair, 0.5, s_i, log_b) > 0
 
 
@@ -152,38 +150,37 @@ class TestExactRelation:
         for _ in range(500):
             pair = random_pair(rng)
             tau = rng.uniform(1 / 252, 2.0)
-            draw = NoiseDraw.sample(rng)
-            worst = max(worst, float(exact_relation_residual(pair, tau, draw)))
+            z_j, z_tilde = rng.standard_normal(2)
+            worst = max(worst, float(exact_relation_residual(pair, tau, z_j, z_tilde)))
         assert worst <= 1e-12
 
     def test_identity_zero_correlation(self, section3_pair):
         pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho=0.0)
-        draw = NoiseDraw.sample(np.random.default_rng(4), 100)
-        assert np.max(exact_relation_residual(pair, 0.5, draw)) <= 1e-12
+        z_j, z_tilde = np.random.default_rng(4).standard_normal((2, 100))
+        assert np.max(exact_relation_residual(pair, 0.5, z_j, z_tilde)) <= 1e-12
 
     def test_perfect_twin_residual(self, section3_pair):
-        draw = NoiseDraw.sample(np.random.default_rng(6), 100)
-        assert np.max(exact_relation_residual(section3_pair, 1 / 252, draw)) <= 1e-12
+        z_j, z_tilde = np.random.default_rng(6).standard_normal((2, 100))
+        assert np.max(exact_relation_residual(section3_pair, 1 / 252, z_j, z_tilde)) <= 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(mu_i=finite_drift, mu_j=finite_drift, sig_i=vol, sig_j=vol,
            s_i=price, s_j=price, rho=corr,
            tau=st.floats(min_value=1e-3, max_value=3.0),
-           z=st.tuples(*[st.floats(min_value=-4, max_value=4)] * 4))
+           z=st.tuples(*[st.floats(min_value=-4, max_value=4)] * 2))
     # S_i^e = 40**200 overflows to inf here while S_j stays finite
     @example(mu_i=0.01, mu_j=2.0, sig_i=0.5, sig_j=1.0, s_i=40.0, s_j=1.0,
-             rho=0.0, tau=1.0, z=(0.0, 0.0, 0.0, 0.0))
+             rho=0.0, tau=1.0, z=(0.0, 0.0))
     # log terms near 1000 cancel: the float log sum was off by 1.04e-12 here
     @example(mu_i=0.010751514195473006, mu_j=1.9880062046842122,
              sig_i=0.9537109007844528, sig_j=0.5373499645550837,
              s_i=156.95194940537294, s_j=82.43692140482645,
              rho=-0.38013334280358424, tau=2.3285022088747316,
-             z=(-3.359971527187076, 3.9970380559961676, 3.1483546538792284, -3.0542178385934236))
+             z=(-3.359971527187076, 3.9970380559961676))
     def test_identity_property(self, mu_i, mu_j, sig_i, sig_j, s_i, s_j, rho, tau, z):
         pair = TwinPair(
             asset_i=AssetParams(mu=mu_i, sigma=sig_i, spot=s_i),
             asset_j=AssetParams(mu=mu_j, sigma=sig_j, spot=s_j),
             rho=rho,
         )
-        draw = NoiseDraw(*z)
-        assert exact_relation_residual(pair, tau, draw) <= 1e-12
+        assert exact_relation_residual(pair, tau, *z) <= 1e-12
