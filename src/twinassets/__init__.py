@@ -32,7 +32,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 __all__ = [
     "AssetParams",

@@ -351,17 +351,13 @@ def main(argv=None) -> int:
         # (exit 4), so numpy's floating-point warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             text = _RUNNERS[args.command](opts)
+        _write_output(text, opts["out"])
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4
     except (TwinAssetsError, ValueError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return 3
-    try:
-        _write_output(text, opts["out"])
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 3

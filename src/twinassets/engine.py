@@ -35,6 +35,9 @@ class AssetParams:
                 raise InvalidParameterError(f"{name} must be finite, got {value}")
         if not self.sigma > 0:
             raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
+        # sigma**2 of a Python float raises OverflowError where sigma*sigma is inf
+        if not math.isfinite(self.sigma * self.sigma):
+            raise InvalidParameterError(f"sigma**2 must be finite, got sigma = {self.sigma}")
         if not self.spot > 0:
             raise InvalidParameterError(f"spot must be > 0, got {self.spot}")
 
@@ -43,8 +46,9 @@ class AssetParams:
 class TwinPair:
     """Two assets plus the correlation rho of their returns.
 
-    Asset i is the proxy (traded) asset, asset j the target. The drift of
-    asset i must be nonzero so the similarity ratio alpha is defined.
+    Asset i is the proxy (traded) asset, asset j the target. sigma_j times
+    the drift of asset i, the similarity ratio alpha's denominator, must be
+    nonzero (a subnormal drift can round it to 0).
     """
 
     asset_i: AssetParams
@@ -54,8 +58,9 @@ class TwinPair:
     def __post_init__(self):
         if not -1.0 <= self.rho <= 1.0:
             raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.asset_i.mu == 0:
-            raise InvalidParameterError("asset_i.mu must be nonzero for alpha to be defined")
+        if self.asset_j.sigma * self.asset_i.mu == 0:
+            raise InvalidParameterError(f"alpha is undefined: sigma_j*mu_i = 0 at mu_i = "
+                                        f"{self.asset_i.mu}, sigma_j = {self.asset_j.sigma}")
 
 
 @dataclass(frozen=True)

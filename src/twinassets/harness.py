@@ -206,10 +206,18 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     The benchmark c_j is the Black-Scholes price of the call on asset j,
     computed once; only the twin estimate varies per replication, through
     log B over the option maturity. So the grid horizon is not read; the
-    CLI builds the option grid at `spec.maturity`.
+    CLI builds the option grid at `spec.maturity`. A benchmark that is not
+    finite and > 0 leaves every APE undefined, and fails before the draw.
     """
     _check_threads(threads)
-    benchmark = bs_call(base.asset_j.spot, spec, base.asset_j.sigma)
+    asset_j = base.asset_j
+    benchmark = bs_call(asset_j.spot, spec, asset_j.sigma)
+    if not 0 < benchmark < math.inf:
+        raise NumericalError(
+            f"Black-Scholes benchmark c_j = {benchmark} is not finite and > 0 at "
+            f"spot_j={asset_j.spot!r}, sigma_j={asset_j.sigma!r}, strike={spec.strike!r}, "
+            f"maturity={spec.maturity!r}, rate={spec.rate!r}"
+        )
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:

@@ -1,4 +1,4 @@
-"""Black-Scholes call pricing and the twin-asset call approximation.
+"""The twin-asset call approximation, and Black-Scholes as its identical-twin case.
 
 The twin price values a call on the (nontraded) asset j through its proxy
 asset i: the payoff is rewritten as (A*B*(S_i^T)^(alpha*sigma_j/sigma_i)
@@ -8,10 +8,10 @@ every product of the twin relation taken as a sum of logs. Because B is
 stochastic, the closed form is conditional on one value of log B, which
 the caller forms from a draw of its two noises (`twin.stochastic_term`);
 averaging over draws is the caller's job too (see the experiment harness).
-The quadrature oracle that checks the closed form lives with the tests
-(`tests/conftest.py`) and shares none of its arithmetic.
+`bs_call` is the closed form at identical twins. The oracles that check
+both live with the tests (`tests/conftest.py`) and share no arithmetic.
 
-`normal_cdf` is the one standard normal CDF Phi of both closed forms:
+`normal_cdf` is the standard normal CDF Phi of the closed form:
 `scipy.special.ndtr` on float64, bit-identical to `scipy.stats.norm.cdf`
 without that method's argument checks and support masks.
 `scipy.stats.norm` is still imported and bound as `norm`, and
@@ -28,7 +28,7 @@ import scipy.integrate  # noqa: F401 -- kept for bench/run.py
 from scipy.special import ndtr
 from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/spans.py
 
-from .engine import TwinPair
+from .engine import AssetParams, TwinPair
 from .errors import InvalidParameterError, UnsupportedSimilarityError
 from .twin import alpha, deterministic_term, twin_exponent
 
@@ -62,24 +62,13 @@ def normal_cdf(x):
 
 
 def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
-    """Black-Scholes price of a European call.
-
-    c = S*N(d1) - K*exp(-r*tau)*N(d2), d1 = (ln(S/K) + (r + sigma^2/2)*tau)
-    / (sigma*sqrt(tau)), d2 = d1 - sigma*sqrt(tau).
+    """Black-Scholes price of a European call on a scalar spot: `twin_call`
+    at identical twins. alpha = sigma*mu/(sigma*mu) is exactly 1 at any
+    nonzero drift mu with sigma*mu in range, as mu = 1 keeps it; so e = 1,
+    log A = 0, and at log B = 0 the forward is S: g2, g1 are d2, d1 op for op.
     """
-    if np.any(np.less_equal(spot, 0)):
-        raise InvalidParameterError(f"spot must be > 0, got {spot}")
-    if not sigma > 0:
-        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
-    tau = spec.maturity
-    sqrt_tau = np.sqrt(tau)
-    # split logs and build d1 from d2 so the identical-twin reduction of
-    # the twin formula reproduces this path bit-for-bit
-    d2 = (np.log(spot) - np.log(spec.strike) + (spec.rate - 0.5 * sigma**2) * tau) / (
-        sigma * sqrt_tau
-    )
-    d1 = d2 + sigma * sqrt_tau
-    return spot * normal_cdf(d1) - spec.strike * np.exp(-spec.rate * tau) * normal_cdf(d2)
+    asset = AssetParams(mu=1.0, sigma=sigma, spot=spot)
+    return twin_call(TwinPair(asset, asset, rho=1.0), spec, 0.0)
 
 
 def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
@@ -93,9 +82,9 @@ def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
     log_b; an array of prices when log_b is an array. F is taken as one exp
     of a log sum, so neither S_i^e nor A*B has to be representable on its
     own, and with one S_i kept out of the exp identical twins (e = 1,
-    log A = log B = 0) give F = S_i exactly: the price then reduces to
-    `bs_call` bit for bit. Tiny negative closed-form values from
-    cancellation are clipped to 0.
+    log A = log B = 0) give F = S_i exactly: the price is Black-Scholes,
+    `bs_call`. Tiny negative closed-form values from cancellation are
+    clipped to 0.
     """
     a = alpha(pair)
     if a <= 0:

@@ -44,12 +44,11 @@ def deterministic_term(pair: TwinPair, tau):
     """
     if not np.all(np.greater(tau, 0)):
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    a = alpha(pair)
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     return (
         np.log(pair.asset_j.spot)
-        - (a * sig_j / sig_i) * np.log(pair.asset_i.spot)
-        + 0.5 * sig_j * (a * sig_i - sig_j) * tau
+        - twin_exponent(pair) * np.log(pair.asset_i.spot)
+        + 0.5 * sig_j * (alpha(pair) * sig_i - sig_j) * tau
     )
 
 

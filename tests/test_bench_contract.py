@@ -53,13 +53,18 @@ with open(sys.argv[2], encoding="utf-8") as fh:
 """
 
 
-# both grids draw z_x and z_y once per replication and read both
+# both grids draw z_x and z_y once per replication and read both; the
+# option grid prices its 4 cells and its Black-Scholes benchmark through
+# twin_call, which calls normal_cdf twice
 @pytest.mark.parametrize("mode", ["asset", "option"])
 def test_traced_grid_runs(mode, tmp_path):
+    twin_calls = {"asset": 0, "option": 4 + 1}[mode]
     metrics = json.loads(python("-c", TRACED_GRID, mode, str(tmp_path / "trace.json")).stdout)
     assert metrics["harness.cells"] == 4
     assert metrics["engine.normal_draws"] == 2 * 100
     assert metrics["engine.draws_used_ratio"] == 1.0
+    assert metrics["pricing.twin_call_calls"] == twin_calls
+    assert metrics["pricing.normal_cdf_calls"] == 2 * twin_calls
 
 
 def test_speedup_child_times_both_thread_counts(tmp_path):

@@ -76,6 +76,10 @@ NAMED_USAGE_ERRORS = {
     "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "simulate --spot-i -5": "asset i: spot must be > 0, got -5.0",
     "simulate --spot-j 0": "asset j: spot must be > 0, got 0.0",
+    # sigma**2 overflowed, and sigma_j*mu_i rounded to 0, as a traceback before 0.5.1
+    "price --sigma-j 1e155": "asset j: sigma**2 must be finite, got sigma = 1e+155",
+    "simulate --mu-i 5e-324":
+        "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 5e-324, sigma_j = 0.4",
 }
 
 
@@ -409,6 +413,23 @@ class TestConfigAndErrors:
                         "--rho-grid", "0", "--alpha-grid", "1")
         assert code == 2
         assert capsys.readouterr().err == "error: validation: threads must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        ("--spot-j 1e-8", "spot_j=1e-08"),
+        ("--strike 1e300", "strike=1e+300"),
+        ("--rate -50", "rate=-50.0"),
+    ])
+    def test_zero_benchmark_checked_before_any_draw(self, flags, field, tmp_path, capsys,
+                                                    monkeypatch):
+        # c_j = 0 leaves every cell's APE undefined: the run names the
+        # benchmark, not the first grid cell
+        forbid_draws(monkeypatch)
+        code, out = run(tmp_path, "mape", "--mode", "option", *flags.split())
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: numerical: Black-Scholes benchmark c_j = 0.0 is not finite")
+        assert field in err
         assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):

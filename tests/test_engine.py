@@ -23,6 +23,14 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             AssetParams(mu=0.1, sigma=0.0, spot=100.0)
 
+    def test_sigma_square_must_be_finite(self):
+        # the largest sigma whose square the model can form, and the next float
+        largest = math.sqrt(np.finfo(float).max)
+        assert largest**2 < math.inf
+        AssetParams(mu=0.1, sigma=largest, spot=100.0)
+        with pytest.raises(InvalidParameterError, match="sigma\\*\\*2 must be finite"):
+            AssetParams(mu=0.1, sigma=math.nextafter(largest, math.inf), spot=100.0)
+
     def test_spot_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             AssetParams(mu=0.1, sigma=0.2, spot=-5.0)
@@ -36,6 +44,13 @@ class TestValidation:
         a = AssetParams(mu=0.0, sigma=0.2, spot=100.0)
         b = AssetParams(mu=0.1, sigma=0.2, spot=100.0)
         with pytest.raises(InvalidParameterError):
+            TwinPair(asset_i=a, asset_j=b, rho=0.5)
+
+    def test_drift_whose_alpha_denominator_rounds_to_zero_rejected(self):
+        a = AssetParams(mu=5e-324, sigma=0.2, spot=100.0)
+        b = AssetParams(mu=0.1, sigma=0.4, spot=100.0)
+        assert b.sigma * a.mu == 0
+        with pytest.raises(InvalidParameterError, match="alpha is undefined"):
             TwinPair(asset_i=a, asset_j=b, rho=0.5)
 
 

@@ -103,6 +103,17 @@ class TestBsCall:
             # deep ITM saturates the lower bound at float precision
             assert lower <= price < spot
 
+    def test_never_negative_far_out_of_the_money(self):
+        # S*N(d1) and the discounted K*N(d2) cancel to rounding noise or
+        # underflow to 0 here; the price is never below 0
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            spot = math.exp(rng.uniform(math.log(1e-3), math.log(1e3)))
+            spec = OptionSpec(strike=spot * math.exp(rng.uniform(2.0, 700.0)),
+                              maturity=math.exp(rng.uniform(-6.0, 3.0)),
+                              rate=rng.uniform(-0.2, 0.3))
+            assert bs_call(spot, spec, math.exp(rng.uniform(math.log(1e-3), math.log(3.0)))) >= 0
+
     def test_monotone_in_spot_and_vol(self):
         spec = OptionSpec(strike=100.0, maturity=0.5, rate=0.03)
         prices_spot = [bs_call(s, spec, 0.3) for s in np.linspace(60, 140, 20)]
@@ -122,10 +133,15 @@ class TestBsCall:
 
     def test_invalid_params(self):
         spec = OptionSpec(strike=100.0, maturity=0.5, rate=0.03)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="spot must be > 0"):
             bs_call(-5.0, spec, 0.3)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match="sigma must be > 0"):
             bs_call(100.0, spec, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match=f"spot must be finite, got {bad}"):
+                bs_call(bad, spec, 0.3)
+            with pytest.raises(InvalidParameterError, match=f"sigma must be finite, got {bad}"):
+                bs_call(100.0, spec, bad)
         with pytest.raises(InvalidParameterError):
             OptionSpec(strike=0.0, maturity=0.5, rate=0.03)
         with pytest.raises(InvalidParameterError):
@@ -161,7 +177,8 @@ class TestTwinCall:
             spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2),
                               rate=rng.uniform(0, 0.1))
             log_b = log_b_of(pair, spec, NoiseDraw.sample(rng))
-            # e = 1 and log A = log B = 0 exactly, so the twin forward is S_i
+            # e = 1 and log A = log B = 0 exactly whatever the drift and the
+            # draw, so the twin forward is S_i; bs_call prices at drift 1
             assert twin_call(pair, spec, log_b) == bs_call(pair.asset_j.spot, spec,
                                                            pair.asset_j.sigma)
 
