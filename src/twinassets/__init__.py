@@ -8,31 +8,16 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
     from .engine import AssetParams, NoiseDraw, PathPair, TwinPair, simulate_paths
-    from .errors import (
-        InvalidParameterError,
-        NumericalError,
-        TwinAssetsError,
-        UnsupportedSimilarityError,
-    )
+    from .errors import InvalidParameterError, NumericalError, TwinAssetsError
     from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option
-    from .pricing import (
-        OptionSpec,
-        bs_call,
-        normal_cdf,
-        twin_call,
-    )
-    from .twin import (
-        alpha,
-        deterministic_term,
-        predict_twin,
-        stochastic_term,
-    )
+    from .pricing import OptionSpec, bs_call, normal_cdf, twin_call
+    from .twin import alpha, deterministic_term, predict_twin, stochastic_term
 finally:
     gc.freeze()
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 __all__ = [
     "AssetParams",
@@ -45,7 +30,6 @@ __all__ = [
     "PathPair",
     "TwinAssetsError",
     "TwinPair",
-    "UnsupportedSimilarityError",
     "alpha",
     "alpha_to_mu_j",
     "bs_call",

@@ -13,14 +13,13 @@ error. Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .engine import AssetParams, NoiseDraw, TwinPair, simulate_paths
-from .errors import InvalidParameterError, NumericalError, TwinAssetsError
+from .errors import InvalidParameterError, NumericalError, naming
 from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
@@ -92,20 +91,10 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-@contextmanager
-def _naming(name: str):
-    """Prefix a ValueError raised inside, such as int('abc'), with the flag,
-    config key or asset it concerns, as a usage error (exit 2)."""
-    try:
-        yield
-    except ValueError as exc:
-        raise InvalidParameterError(f"{name}: {exc}") from None
-
-
 def _parse_values(opts: dict, key: str) -> list[float]:
     """Parse the value-list option `key`: either 'lo:hi:count' or 'v1,v2,...'."""
     text = opts[key].strip()
-    with _naming(_flag(key)):
+    with naming(_flag(key)):
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
@@ -135,7 +124,7 @@ def _read_config(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in OPTIONS:
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            with _naming(f"{path}:{lineno}: {key}"):
+            with naming(f"{path}:{lineno}: {key}"):
                 values[key] = OPTIONS[key].type(value.strip())
     return values
 
@@ -166,7 +155,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 def _resolve_threads(value: str) -> int:
     """'auto' is the CPU count; `mape_asset` and `mape_option` reject a count below 1."""
-    with _naming("--threads"):
+    with naming("--threads"):
         return (os.cpu_count() or 1) if value == "auto" else int(value)
 
 
@@ -179,12 +168,12 @@ def _replications(opts: dict, default: int) -> int:
 
 
 def _build_pair(opts: dict) -> TwinPair:
-    with _naming("asset i"):
+    with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     mu_j = opts["mu_j"]
     if opts["alpha"] is not None:
         mu_j = alpha_to_mu_j(opts["alpha"], opts["mu_i"], opts["sigma_i"], opts["sigma_j"])
-    with _naming("asset j"):
+    with naming("asset j"):
         asset_j = AssetParams(mu=mu_j, sigma=opts["sigma_j"], spot=opts["spot_j"])
     return TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
 
@@ -309,7 +298,7 @@ def run_mape(opts: dict) -> str:
         sigmas = _parse_values(opts, "sigma_j_values")
         grid = grid_at(opts["horizon"])
         # every swept pair is built, and so validated, before any grid runs
-        with _naming(_flag("sigma_j_values")):
+        with naming(_flag("sigma_j_values")):
             swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
         lines = ["rho,alpha,mape,se,sigma_j"]
         for sigma_j, swept_pair in zip(sigmas, swept):
@@ -355,7 +344,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4
-    except (TwinAssetsError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

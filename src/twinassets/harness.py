@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import NoiseDraw, TwinPair
-from .errors import InvalidParameterError, NumericalError
-from .pricing import OptionSpec, bs_call, twin_call
+from .errors import InvalidParameterError, NumericalError, naming
+from .pricing import OptionSpec, _priced_alpha, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 from .twin import stochastic_coefficients
 
@@ -58,26 +58,12 @@ class GridSpec:
 class MapeGrid:
     """MAPE surface (percent) indexed (rho_index, alpha_index), with
     matching Monte Carlo standard errors and the spec that produced it.
-    A non-finite value or error is a NumericalError naming its cell."""
+    A plain record: `_run_grid`, which builds it, has checked that every
+    value and error is finite."""
 
     grid: np.ndarray
     spec: GridSpec
     standard_errors: np.ndarray
-
-    def __post_init__(self):
-        expected = (len(self.spec.rho_values), len(self.spec.alpha_values))
-        if self.grid.shape != expected or self.standard_errors.shape != expected:
-            raise InvalidParameterError(f"grid shape must be {expected}")
-        bad = np.argwhere(~(np.isfinite(self.grid) & np.isfinite(self.standard_errors)))
-        if len(bad):
-            l, m = bad[0]
-            raise NumericalError(
-                f"non-finite MAPE at rho={self.spec.rho_values[l]!r}, "
-                f"alpha={self.spec.alpha_values[m]!r}: "
-                f"mape={self.grid[l, m]}, se={self.standard_errors[l, m]}"
-            )
-        if np.any(self.grid < 0):
-            raise InvalidParameterError("MAPE values must be >= 0")
 
 
 def alpha_to_mu_j(alpha_target: float, mu_i: float, sigma_i: float, sigma_j: float) -> float:
@@ -91,15 +77,20 @@ def alpha_to_mu_j(alpha_target: float, mu_i: float, sigma_i: float, sigma_j: flo
     return alpha_target * sigma_j * mu_i / sigma_i
 
 
-def _cell_pair(base: TwinPair, rho: float, alpha_value: float) -> TwinPair:
-    mu_j = alpha_to_mu_j(
-        alpha_value, base.asset_i.mu, base.asset_i.sigma, base.asset_j.sigma
-    )
-    return TwinPair(
-        asset_i=base.asset_i,
-        asset_j=replace(base.asset_j, mu=mu_j),
-        rho=rho,
-    )
+def _cell_pairs(base: TwinPair, grid: GridSpec, check=lambda pair: None) -> list:
+    """Every cell's pair, indexed [rho_index][alpha_index]: base with mu_j
+    set so that the pair's alpha is the cell's. The grids build them before
+    they draw, so the first cell in grid order whose asset j is invalid (its
+    mu_j overflows) or whose pair `check` rejects fails first, named."""
+
+    def pair_at(rho: float, alpha_value: float) -> TwinPair:
+        mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, base.asset_j.sigma)
+        with naming(f"cell rho={rho!r}, alpha={alpha_value!r}: asset j"):
+            pair = TwinPair(base.asset_i, replace(base.asset_j, mu=mu_j), rho)
+            check(pair)
+        return pair
+
+    return [[pair_at(rho, a) for a in grid.alpha_values] for rho in grid.rho_values]
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -132,6 +123,8 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     scratch is a (2, n) float array owned by one worker: a cell may
     overwrite it, and the next cell of that worker gets it back. threads
     is at least 1: the callers check it with `_check_threads` before they draw.
+    A MAPE or SE that is not finite is a NumericalError naming the first
+    such cell in grid order, so the error does not depend on the thread count.
     """
     n_rho, n_alpha = len(grid.rho_values), len(grid.alpha_values)
     mape = np.empty((n_rho, n_alpha))
@@ -162,6 +155,13 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
         run_cells(first)
         for future in futures:
             future.result()
+    bad = np.argwhere(~(np.isfinite(mape) & np.isfinite(se)))
+    if len(bad):
+        l, m = bad[0]
+        raise NumericalError(
+            f"non-finite MAPE at rho={grid.rho_values[l]!r}, "
+            f"alpha={grid.alpha_values[m]!r}: mape={mape[l, m]}, se={se[l, m]}"
+        )
     return MapeGrid(grid=mape, spec=grid, standard_errors=se)
 
 
@@ -185,14 +185,14 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     is |expm1| of it and a cell needs no simulated pair.
     """
     _check_threads(threads)
+    pairs = _cell_pairs(base, grid)
     # kappa(2*tau) = sqrt(2)*kappa(tau), so log B over 2*tau at unit normals
     # has the law of log B over tau at the N(0, 2) differences
     horizon = 2 * grid.horizon
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
-        pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
-        ape = _log_b(pair, horizon, draw, scratch)
+        ape = _log_b(pairs[l][m], horizon, draw, scratch)
         np.expm1(ape, out=ape)
         np.abs(ape, out=ape)
         return _mean_std(ape)
@@ -207,7 +207,8 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     computed once; only the twin estimate varies per replication, through
     log B over the option maturity. So the grid horizon is not read; the
     CLI builds the option grid at `spec.maturity`. A benchmark that is not
-    finite and > 0 leaves every APE undefined, and fails before the draw.
+    finite and > 0 leaves every APE undefined, and fails before the draw, as
+    does a cell whose alpha rounds to 0.
     """
     _check_threads(threads)
     asset_j = base.asset_j
@@ -218,10 +219,12 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
             f"spot_j={asset_j.spot!r}, sigma_j={asset_j.sigma!r}, strike={spec.strike!r}, "
             f"maturity={spec.maturity!r}, rate={spec.rate!r}"
         )
+    # a cell whose mu_j rounds to 0 has alpha 0, which twin_call rejects
+    pairs = _cell_pairs(base, grid, check=_priced_alpha)
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
-        pair = _cell_pair(base, grid.rho_values[l], grid.alpha_values[m])
+        pair = pairs[l][m]
         # |c' - c| / c in the fresh price array
         ape = twin_call(pair, spec, _log_b(pair, spec.maturity, draw, scratch))
         np.subtract(ape, benchmark, out=ape)

@@ -29,7 +29,7 @@ from scipy.special import ndtr
 from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/spans.py
 
 from .engine import AssetParams, TwinPair
-from .errors import InvalidParameterError, UnsupportedSimilarityError
+from .errors import InvalidParameterError
 from .twin import alpha, deterministic_term, twin_exponent
 
 
@@ -71,6 +71,14 @@ def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     return twin_call(TwinPair(asset, asset, rho=1.0), spec, 0.0)
 
 
+def _priced_alpha(pair: TwinPair) -> float:
+    """The pair's alpha, which the twin price requires to be > 0."""
+    a = alpha(pair)
+    if a <= 0:
+        raise InvalidParameterError(f"twin pricing requires alpha > 0, got alpha = {a}")
+    return a
+
+
 def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
     """Closed-form twin call price conditional on the stochastic term log B
     over the maturity (a scalar, or an array of one per replication).
@@ -86,9 +94,7 @@ def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
     `bs_call`. Tiny negative closed-form values from cancellation are
     clipped to 0.
     """
-    a = alpha(pair)
-    if a <= 0:
-        raise UnsupportedSimilarityError(f"twin pricing requires alpha > 0, got alpha = {a}")
+    a = _priced_alpha(pair)
     tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     log_ab = deterministic_term(pair, tau) + log_b

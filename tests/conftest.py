@@ -1,12 +1,27 @@
 import decimal
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twinassets import AssetParams, NumericalError, TwinPair, UnsupportedSimilarityError
+from twinassets import AssetParams, InvalidParameterError, NumericalError, TwinPair
 from twinassets.twin import alpha, deterministic_term, predict_twin, stochastic_term, twin_exponent
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def bench_module(name: str):
+    """The module bench/<name>.py, imported with bench/ on the path as the
+    benchmark's own processes have it. bench/ imports nothing of twinassets,
+    so its reference values and output checks are independent of the package."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    return importlib.import_module(name)
 
 
 @pytest.fixture
@@ -77,7 +92,7 @@ def twin_call_quadrature(pair, spec, log_b) -> float:
     """
     a = alpha(pair)
     if a <= 0:
-        raise UnsupportedSimilarityError(
+        raise InvalidParameterError(
             f"twin pricing requires alpha > 0, got alpha = {a}"
         )
     tau = spec.maturity

@@ -6,8 +6,13 @@ The benchmark reads the cumulative import time of `scipy.stats` and
 the package's functions (and `pricing.norm`) to trace them, and
 `engine.NoiseDraw.sample` to count the normals drawn and read. Its
 speed-up child (`bench/child.py speedup`) times `mape_asset` at 1 and 2
-threads. Each check runs in a fresh interpreter with `src/` and `bench/` on the path,
-as the benchmark's own children do.
+threads. Each of these checks runs in a fresh interpreter with `src/` and
+`bench/` on the path, as the benchmark's own children do.
+
+The benchmark also judges every output it times (`reference.check_grid`);
+the gated grid workloads are run here in-process, with their own argv and
+check from `bench/run.py`, so a change that would make the benchmark
+report `correct: false` fails here first.
 
 ROADMAP item 1 (benchmark v2) makes a missing import read 0.0 instead of
 failing; it retires the import-time half of this file.
@@ -20,6 +25,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import bench_module
+from twinassets.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,3 +81,12 @@ def test_speedup_child_times_both_thread_counts(tmp_path):
     python(str(ROOT / "bench" / "child.py"), "speedup", str(result), str(ROOT / "src"), "7", "200")
     timings = json.loads(result.read_text(encoding="utf-8"))
     assert timings["threads_1_s"] > 0 and timings["threads_2_s"] > 0
+
+
+@pytest.mark.parametrize("seed", [7, 20200917])
+@pytest.mark.parametrize("name", ["asset-grid", "option-grid"])
+def test_gated_grid_passes_the_benchmark_check(name, seed, tmp_path):
+    workload = bench_module("run").WORKLOADS[name]
+    out = tmp_path / "grid.csv"
+    assert main(workload.argv(seed, out)) == 0
+    assert workload.check(out.read_bytes()) == []

@@ -80,6 +80,15 @@ NAMED_USAGE_ERRORS = {
     "price --sigma-j 1e155": "asset j: sigma**2 must be finite, got sigma = 1e+155",
     "simulate --mu-i 5e-324":
         "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 5e-324, sigma_j = 0.4",
+    # a grid cell's mu_j overflows, or rounds to 0 so that its alpha is 0 (which
+    # only the twin price rejects): named, before the draw, since 0.5.2
+    "mape --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2":
+        "cell rho=0.0, alpha=1.0: asset j: mu must be finite, got inf",
+    "mape --mode option --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2":
+        "cell rho=0.0, alpha=1.0: asset j: mu must be finite, got inf",
+    "mape --mode option --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
+    "--alpha-grid 1e-10,1 --n 2":
+        "cell rho=0.0, alpha=1e-10: asset j: twin pricing requires alpha > 0, got alpha = 0.0",
 }
 
 

@@ -117,6 +117,14 @@ RECORDED = [
     "price --mu-i 5e-324",
     "simulate --mu-i 5e-324 --steps 2",
     "mape --mode option --mu-i 5e-324 --rho-grid 0 --alpha-grid 1 --n 2",
+    # a grid cell's mu_j overflows (exit 2 after the draw, unnamed, before
+    # 0.5.2), or rounds to 0 and gives the option cell alpha = 0
+    "mape --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2",
+    "mape --mode option --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2",
+    "mape --mode option --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
+    "--alpha-grid 1e-10,1 --n 2",
+    "mape --mode asset --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
+    "--alpha-grid 1e-10,1 --n 2",
 ]
 
 NAMED_FAILURE = re.compile(

@@ -26,7 +26,7 @@ from twinassets import (
 )
 from conftest import unreduced_ape
 from twinassets.cli import main
-from twinassets.harness import _mean_std
+from twinassets.harness import _mean_std, _run_grid
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 from twinassets.twin import stochastic_coefficients
 
@@ -348,12 +348,17 @@ class TestMeanStd:
 class TestMapeGrid:
     @pytest.mark.parametrize("value, err", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)])
     def test_non_finite_cell_named(self, value, err):
-        g = grid([0.0, 0.5], [1.0, 5.0])
-        mape = np.ones((2, 2))
-        se = np.ones((2, 2))
-        mape[1, 0], se[1, 0] = value, err
-        with pytest.raises(NumericalError, match=r"rho=0\.5, alpha=1\.0"):
-            MapeGrid(grid=mape, spec=g, standard_errors=se)
+        # _run_grid, which builds every MapeGrid, names the first non-finite
+        # cell in grid order, (1, 0) before (1, 1), at any thread count
+        g = grid([0.0, 0.5], [1.0, 5.0], n=4)
+
+        def cell(l, m, scratch):
+            return (value, err) if l == 1 else (1.0, 1.0)
+
+        for threads in (1, 3):
+            with pytest.raises(NumericalError, match=r"^non-finite MAPE at rho=0\.5, alpha=1\.0"):
+                _run_grid(g, cell, threads)
+        assert isinstance(_run_grid(g, lambda l, m, scratch: (1.0, 1.0)), MapeGrid)
 
 
 class TestMapeOption:

@@ -11,7 +11,6 @@ from twinassets import (
     NoiseDraw,
     OptionSpec,
     TwinPair,
-    UnsupportedSimilarityError,
     bs_call,
     mape_option,
     normal_cdf,
@@ -195,9 +194,9 @@ class TestTwinCall:
             rho=0.5,
         )
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
-        with pytest.raises(UnsupportedSimilarityError):
+        with pytest.raises(InvalidParameterError, match="requires alpha > 0"):
             twin_call(pair, spec, 0.0)
-        with pytest.raises(UnsupportedSimilarityError):
+        with pytest.raises(InvalidParameterError, match="requires alpha > 0"):
             twin_call_quadrature(pair, spec, 0.0)
 
     def test_vectorized_draw(self, section3_pair):
