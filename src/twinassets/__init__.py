@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.2"
+__version__ = "0.5.3"
 
 __all__ = [
     "AssetParams",

@@ -99,11 +99,16 @@ def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     log_ab = deterministic_term(pair, tau) + log_b
     log_spot = np.log(pair.asset_i.spot)
+    growth = (twin_exponent(pair) - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
+    forward = pair.asset_i.spot * np.exp(log_ab + growth)
     # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B), over vol
     g2 = (log_spot - sig_i / (a * sig_j) * (np.log(spec.strike) - log_ab)
           + (rate - 0.5 * sig_i**2) * tau) / (sig_i * np.sqrt(tau))
-    g1 = g2 + a * sig_j * np.sqrt(tau)
-    growth = (twin_exponent(pair) - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
-    forward = pair.asset_i.spot * np.exp(log_ab + growth)
-    price = forward * normal_cdf(g1) - spec.strike * np.exp(-rate * tau) * normal_cdf(g2)
+    # each array is dropped once dead and the terms are combined in place
+    # (a product commutes bit for bit), so at most four are alive at once
+    del log_ab
+    price = normal_cdf(g2 + a * sig_j * np.sqrt(tau))  # N(g1)
+    price *= forward
+    del forward
+    price -= spec.strike * np.exp(-rate * tau) * normal_cdf(g2)
     return np.maximum(price, 0.0)

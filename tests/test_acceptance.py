@@ -64,11 +64,12 @@ def test_criterion_1_perfect_twin_exactness():
 def test_criterion_2_option_mape_thresholds():
     # Known red at sigma_j = 0.4: the alpha = 1.05 and 1.25 cells exceed
     # their bounds. The gap is a structural bias of the twin price (the
-    # closed form is confirmed against the quadrature oracle to 1e-12 and
-    # reduces exactly to Black-Scholes for identical twins), not a defect
-    # of this implementation; all five thresholds do hold at
+    # closed form is confirmed against the quadrature oracle to 1e-6
+    # relative and reduces exactly to Black-Scholes for identical twins),
+    # not a defect of this implementation; all five thresholds do hold at
     # sigma_j = sigma_i = 0.2. Asserted as stated rather than loosened;
-    # see the project notes for the full analysis.
+    # see README "Known limitation" and
+    # test_criterion_2_row_is_the_approximations_bias for the analysis.
     spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
 
     def thresholds_hold(sigma_j):

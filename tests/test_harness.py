@@ -26,7 +26,7 @@ from twinassets import (
 )
 from conftest import unreduced_ape
 from twinassets.cli import main
-from twinassets.harness import _mean_std, _run_grid
+from twinassets.harness import _ORDER_STRIPS, _locality_order, _mean_std, _run_grid
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 from twinassets.twin import stochastic_coefficients
 
@@ -253,7 +253,9 @@ class TestWorkingMemory:
     """Peak of the memory numpy reports to tracemalloc, in doubles per
     replication, while a grid runs. Both grids hold their two-normal draw
     (2n) and a (2, n) scratch per worker, in which each cell forms its log B.
-    The option cell adds the 7n temporaries of `twin_call` at its peak."""
+    The option grid's draw is permuted into its evaluation order, and it
+    adds the inverse order (n indices of 8 bytes); each option cell adds the
+    4n temporaries of `twin_call` at its peak."""
 
     N = 100_000
     SLACK = 0.1
@@ -277,7 +279,32 @@ class TestWorkingMemory:
         g = grid([0.0, 0.5], [0.9, 1.1], n=self.N)
         spec = TestMapeOption.SPEC
         peak = self.peak_doubles_per_replication(lambda: mape_option(section3_pair, spec, g))
-        assert peak <= 2 + 2 + 7 + self.SLACK
+        assert peak <= 2 + 2 + 1 + 4 + self.SLACK
+
+
+class TestLocalityOrder:
+    """The option grid's evaluation order; `TestPlainOracle` and
+    `tests/test_golden.py` check that it leaves every output bit as it is."""
+
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_permutation_of_the_replications(self, n):
+        draw = NoiseDraw.sample(np.random.default_rng(n), n)
+        ties = [np.round(draw.z_x), np.round(draw.z_y)]
+        for z_x, z_y in ([draw.z_x, draw.z_y], ties, [np.zeros(n), np.zeros(n)]):
+            order = _locality_order(z_x, z_y)
+            assert order.dtype.kind == "i"
+            assert np.array_equal(np.sort(order), np.arange(n))
+
+    def test_serpentine_over_strips_of_z_x_rank(self):
+        n = 2000
+        draw = NoiseDraw.sample(np.random.default_rng(3), n)
+        order = _locality_order(draw.z_x, draw.z_y)
+        strip = np.argsort(np.argsort(draw.z_x))[order] * _ORDER_STRIPS // n
+        assert np.all(np.diff(strip) >= 0)
+        assert np.array_equal(np.unique(strip), np.arange(_ORDER_STRIPS))
+        for s in range(_ORDER_STRIPS):
+            z_y = draw.z_y[order][strip == s]
+            assert np.all(np.diff(z_y) * (-1) ** s >= 0), s
 
 
 class TestPlainOracle:

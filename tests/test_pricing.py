@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestTwinCall:
             price = twin_call(pair, spec, value)
             assert type(price) is np.float64
             assert price.tobytes() == prices[k].tobytes()
+
+    def test_peak_memory_four_arrays(self, section3_pair):
+        # each temporary is dropped once dead, so at most four arrays of the
+        # replications' size are alive at once, the returned prices included
+        n = 100_000
+        spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+        pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
+        log_b = log_b_of(pair, spec, NoiseDraw.sample(np.random.default_rng(2), n))
+        tracemalloc.start()
+        try:
+            twin_call(pair, spec, log_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) <= 4 + 0.1
 
 
 class TestQuadratureOracle:
