@@ -9,10 +9,11 @@ per-replication twin call prices against a fixed Black-Scholes benchmark.
 Both compare through log B, the stochastic term of the twin relation.
 Every cell of a grid reads the same two-normal draw of n replications,
 taken once per grid from the substream (master seed, stream), and forms
-its own log B of it in its worker's scratch: common random numbers, so
-differences between cells carry little Monte Carlo noise. A cell's
-value depends only on the seed, n and its own (rho, alpha), never on the
-rest of the grid, the thread count or the schedule.
+its own log B of it in its worker's scratch by `twin.stochastic_term`,
+the one log-B formula: common random numbers, so differences between
+cells carry little Monte Carlo noise. A cell's value depends only on the
+seed, n and its own (rho, alpha), never on the rest of the grid, the
+thread count or the schedule.
 
 The option grid evaluates its cells over the draw in a locality order
 (`_locality_order`): nearly all of an option cell's time is the normal CDF,
@@ -35,7 +36,7 @@ from .engine import NoiseDraw, TwinPair
 from .errors import InvalidParameterError, NumericalError, naming
 from .pricing import OptionSpec, _priced_alpha, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
-from .twin import stochastic_coefficients
+from .twin import stochastic_term
 
 
 @dataclass(frozen=True)
@@ -175,16 +176,6 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     return MapeGrid(grid=mape, spec=grid, standard_errors=se)
 
 
-def _log_b(pair: TwinPair, tau: float, draw: NoiseDraw, scratch: np.ndarray) -> np.ndarray:
-    """log B = kappa_x*z_x - kappa_y*z_y over horizon tau for every
-    replication of the draw, formed in scratch[0] (scratch[1] is overwritten)."""
-    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
-    log_b, term = scratch
-    np.multiply(kappa_x, draw.z_x, out=log_b)
-    np.multiply(kappa_y, draw.z_y, out=term)
-    return np.subtract(log_b, term, out=log_b)
-
-
 # Strip count of `_locality_order`, chosen by timing `ndtr` on the normal
 # CDF arguments of the README option grid (2-core Xeon VM): at 32 to 128
 # strips they took about as long as each array sorted, half their time in
@@ -219,9 +210,10 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     # has the law of log B over tau at the N(0, 2) differences
     horizon = 2 * grid.horizon
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_ASSET_MAPE), grid.n_replications)
+    z_x, z_y = draw.z_x, draw.z_y
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
-        ape = _log_b(pairs[l][m], horizon, draw, scratch)
+        ape = stochastic_term(pairs[l][m], horizon, z_x, z_y, out=scratch)
         np.expm1(ape, out=ape)
         np.abs(ape, out=ape)
         return _mean_std(ape)
@@ -260,15 +252,15 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     pairs = _cell_pairs(base, grid, check=_priced_alpha)
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
     order = _locality_order(draw.z_x, draw.z_y)
-    draw = NoiseDraw(z_x=draw.z_x[order], z_y=draw.z_y[order])
+    z_x, z_y = draw.z_x[order], draw.z_y[order]
     # position of each replication of the draw in the evaluation order
     inverse = np.argsort(order)
-    del order
+    del draw, order
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
         pair = pairs[l][m]
         # |c' - c| / c in the fresh price array, in the evaluation order
-        ape = twin_call(pair, spec, _log_b(pair, spec.maturity, draw, scratch))
+        ape = twin_call(pair, spec, stochastic_term(pair, spec.maturity, z_x, z_y, out=scratch))
         np.subtract(ape, benchmark, out=ape)
         np.abs(ape, out=ape)
         np.divide(ape, benchmark, out=ape)

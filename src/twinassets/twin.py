@@ -7,10 +7,11 @@ deterministic term A and a stochastic term B driven by two fresh
 independent noises. The relation is evaluated only in log space, as
 log A + log B + e*log S_i with e = alpha*sigma_j/sigma_i, so S_i^e never
 has to be representable on its own: `deterministic_term` and
-`stochastic_term` return log A and log B, and `predict_twin`
-exponentiates the sum. With the fresh noises replaced by the pair's own
-driving noises the relation is an exact identity; the residual oracle
-that checks it lives with the tests (`tests/conftest.py`).
+`stochastic_term` return log A and log B (the one log-B formula, which
+every caller uses), and `predict_twin` exponentiates the sum. With the
+fresh noises replaced by the pair's own driving noises the relation is
+an exact identity; the residual oracle that checks it lives with the
+tests (`tests/conftest.py`).
 """
 
 import math
@@ -66,17 +67,23 @@ def stochastic_coefficients(pair: TwinPair, tau: float) -> tuple[float, float]:
     return scale * (1.0 - pair.rho * a), scale * a * math.sqrt(1.0 - pair.rho**2)
 
 
-def stochastic_term(pair: TwinPair, tau: float, z_x, z_y):
+def stochastic_term(pair: TwinPair, tau: float, z_x, z_y, out=None):
     """log B = sigma_j*sqrt(tau) * ((1 - rho*alpha)*z_x - alpha*sqrt(1-rho^2)*z_y).
 
     z_x and z_y are unit normals (scalars or arrays), so the Wiener
     increments are z*sqrt(tau). Identically 0 when (rho, alpha) = (1, 1).
     log B is linear in the noises, so at u = z_x - z_j and v = z_y - z_tilde
     it is log(S'_j / S_j), the log error of the prediction against the
-    truth simulated from (z_j, z_tilde): drifts and spots cancel.
+    truth simulated from (z_j, z_tilde): drifts and spots cancel. Given
+    out, two rows shaped as z_x, log B is formed in out[0] with the same
+    operations, so the same bits, and returned; out[1] is overwritten.
     """
     kappa_x, kappa_y = stochastic_coefficients(pair, tau)
-    return kappa_x * z_x - kappa_y * z_y
+    if out is None:
+        return kappa_x * z_x - kappa_y * z_y
+    np.multiply(kappa_x, z_x, out=out[0])
+    np.multiply(kappa_y, z_y, out=out[1])
+    return np.subtract(out[0], out[1], out=out[0])
 
 
 def predict_twin(pair: TwinPair, tau, s_i, log_b):

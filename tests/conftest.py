@@ -48,6 +48,37 @@ def reference_bs_call(spot, strike, rate, sigma, tau):
     return spot * ncdf(d1) - strike * math.exp(-rate * tau) * ncdf(d2)
 
 
+def asset_mape_closed_form(sigma_j, tau, rho, alpha_value):
+    """100*E|e^X - 1| for X ~ N(0, s^2), s^2 = 2*sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2):
+    100*e^(s^2/2)*(2*Phi(s) - 1), with 2*Phi(s) - 1 = erf(s/sqrt(2))."""
+    # 1 - 2*rho*alpha + alpha^2 as a sum of non-negative terms
+    s2 = 2 * sigma_j**2 * tau * ((1 - alpha_value) ** 2 + 2 * alpha_value * (1 - rho))
+    return 100 * math.exp(s2 / 2) * math.erf(math.sqrt(s2) / math.sqrt(2))
+
+
+def expected_twin_call(spot_j, sigma_i, sigma_j, rho, alpha_value, strike, maturity, rate):
+    """Mean of the twin call price over log B, using only the math module.
+
+    Given S_i, log B ~ N(0, sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2)) is
+    independent of S_i, so A*B*S_i^e at maturity is lognormal and the mean
+    twin price is the discounted Black-76 price on the forward
+    S_j*exp(e*r*tau + alpha*(alpha - rho)*sigma_j^2*tau), e = alpha*sigma_j/sigma_i,
+    at the volatility sigma_j*sqrt(1 - 2*rho*alpha + 2*alpha^2). Against
+    Black-Scholes (forward S_j*e^(r*tau), volatility sigma_j) these are the
+    two explicit factors of the twin price's error.
+    """
+
+    def ncdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    e = alpha_value * sigma_j / sigma_i
+    forward = spot_j * math.exp(
+        e * rate * maturity + alpha_value * (alpha_value - rho) * sigma_j**2 * maturity)
+    sd = sigma_j * math.sqrt((1 - 2 * rho * alpha_value + 2 * alpha_value**2) * maturity)
+    d1 = (math.log(forward / strike) + 0.5 * sd * sd) / sd
+    return math.exp(-rate * maturity) * (forward * ncdf(d1) - strike * ncdf(d1 - sd))
+
+
 def terminal_pair(pair, tau, z_j, z_tilde):
     """Terminal values (S_i, S_j) of the correlated pair over horizon tau,
     each spot * exp((mu - sigma^2/2)*tau + sigma*sqrt(tau)*z): asset j sees

@@ -24,7 +24,12 @@ from twinassets import (
     twin_call,
 )
 from twinassets.cli import main
-from conftest import bench_module, exact_relation_residual, twin_call_quadrature
+from conftest import (
+    asset_mape_closed_form,
+    bench_module,
+    exact_relation_residual,
+    twin_call_quadrature,
+)
 
 ONE_DAY = 1 / 252
 ONE_MONTH = 21 / 252
@@ -157,6 +162,42 @@ def test_criterion_5_sigma_ordering():
             slack = 2 * (a.standard_errors + b.standard_errors)
             ok &= bool(np.all(b.grid + slack >= a.grid))
     report(5, "asset MAPE nondecreasing in sigma_j in {0.2,0.4,0.6} (2-SE slack)", ok)
+
+
+def closed_form_surface(sigma_j=0.4, tau=ONE_DAY):
+    """The asset MAPE's closed form on the README grid, indexed (rho, alpha)."""
+    return np.array([[asset_mape_closed_form(sigma_j, tau, rho, a)
+                      for a in np.linspace(0.5, 1.5, 21)] for rho in np.linspace(-1, 1, 21)])
+
+
+# Exact forms of criteria 3-5: the closed form 100*e^(s^2/2)*(2*Phi(s) - 1),
+# s^2 = 2*sigma_j^2*tau*((1 - alpha)^2 + 2*alpha*(1 - rho)), over the README
+# grid. It is 0 only at (rho, alpha) = (1, 1), the cell [20, 10].
+PERFECT_TWIN = (20, 10)
+
+
+def rises_but_at_the_perfect_twin(low, high):
+    """high > low in every cell but (1, 1), where both are exactly 0."""
+    rises = high > low
+    rises[PERFECT_TWIN] = high[PERFECT_TWIN] == low[PERFECT_TWIN] == 0
+    return bool(np.all(rises))
+
+
+def test_criterion_3_exact_form_falls_strictly_in_rho():
+    surface = closed_form_surface()
+    assert np.all(np.diff(surface, axis=0) < 0)
+    assert np.argwhere(surface == 0).tolist() == [list(PERFECT_TWIN)]
+
+
+def test_criterion_4_exact_form_rises_with_the_horizon():
+    day, month = closed_form_surface(tau=ONE_DAY), closed_form_surface(tau=ONE_MONTH)
+    assert rises_but_at_the_perfect_twin(day, month)
+
+
+def test_criterion_5_exact_form_rises_with_sigma_j():
+    low, mid, high = (closed_form_surface(sigma_j=s) for s in (0.2, 0.4, 0.6))
+    assert rises_but_at_the_perfect_twin(low, mid)
+    assert rises_but_at_the_perfect_twin(mid, high)
 
 
 def test_criterion_6_identity_oracle():

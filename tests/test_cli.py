@@ -174,6 +174,31 @@ class TestSimulate:
             exact, magnitude = decimal_predict_twin(pair, t, s_i, wx, wy)
             assert abs(predicted - exact) <= LOG_SUM_ROUNDINGS * EPS * magnitude * exact
 
+    @pytest.mark.parametrize("rho, alpha", [(0.8, 1.1), (-0.5, 1.4)])
+    def test_prediction_log_error_law(self, rho, alpha, capsys):
+        # log(S'_j / S_j) at t is log B at the difference of the fresh and the
+        # pair's own walks, so N(0, 2*sigma_j^2*t*d), d = (1 - alpha)^2 + 2*alpha*(1 - rho)
+        seeds, steps = 400, 21
+        log_error = np.empty((seeds, steps))
+        for seed in range(seeds):
+            argv = f"simulate --rho={rho} --alpha {alpha} --steps {steps} --seed {seed}"
+            assert main(argv.split()) == 0
+            rows = np.array([[float(v) for v in line.split(",")]
+                             for line in capsys.readouterr().out.splitlines()[2:]])
+            log_error[seed] = np.log(rows[:, 3] / rows[:, 2])
+        d = (1 - alpha) ** 2 + 2 * alpha * (1 - rho)
+        for k in (0, 4, 20):  # t = 1, 5 and 21 trading days
+            variance = 2 * 0.4**2 * rows[k, 0] * d
+            x = log_error[:, k]
+            assert abs(np.mean(x)) <= 4 * np.sqrt(variance / seeds), k
+            # the mean square about the known mean 0 has SE variance*sqrt(2/seeds)
+            assert abs(np.mean(x**2) - variance) <= 4 * variance * np.sqrt(2 / seeds), k
+        # both walks have independent steps, so the log error's steps are
+        # independent N(0, 2*sigma_j^2*dt*d): pooled, they pin the scale closer
+        x = np.diff(log_error, axis=1, prepend=0.0)
+        variance = 2 * 0.4**2 * rows[0, 0] * d
+        assert abs(np.mean(x**2) - variance) <= 4 * variance * np.sqrt(2 / x.size)
+
 
 class TestPrice:
     def test_identical_twins_zero_se(self, tmp_path):

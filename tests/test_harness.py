@@ -24,7 +24,7 @@ from twinassets import (
     stochastic_term,
     twin_call,
 )
-from conftest import unreduced_ape
+from conftest import asset_mape_closed_form, unreduced_ape
 from twinassets.cli import main
 from twinassets.harness import _ORDER_STRIPS, _locality_order, _mean_std, _run_grid
 from twinassets.seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
@@ -127,14 +127,6 @@ class TestMapeAsset:
         assert result.standard_errors.shape == (2, 3)
         assert result.spec == g
         assert np.all(result.grid >= 0)
-
-
-def asset_mape_closed_form(sigma_j, tau, rho, alpha_value):
-    """100*E|e^X - 1| for X ~ N(0, s^2), s^2 = 2*sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2):
-    100*e^(s^2/2)*(2*Phi(s) - 1), with 2*Phi(s) - 1 = erf(s/sqrt(2))."""
-    # 1 - 2*rho*alpha + alpha^2 as a sum of non-negative terms
-    s2 = 2 * sigma_j**2 * tau * ((1 - alpha_value) ** 2 + 2 * alpha_value * (1 - rho))
-    return 100 * math.exp(s2 / 2) * math.erf(math.sqrt(s2) / math.sqrt(2))
 
 
 class TestLogRatioKernel:

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermegauss
 from scipy.stats import norm
 
 from twinassets import (
@@ -12,6 +13,8 @@ from twinassets import (
     NoiseDraw,
     OptionSpec,
     TwinPair,
+    alpha,
+    alpha_to_mu_j,
     bs_call,
     mape_option,
     normal_cdf,
@@ -19,7 +22,8 @@ from twinassets import (
     twin_call,
 )
 from twinassets import pricing
-from conftest import reference_bs_call, twin_call_quadrature
+from twinassets.cli import main
+from conftest import expected_twin_call, reference_bs_call, twin_call_quadrature
 
 
 def log_b_of(pair, spec, draw):
@@ -271,3 +275,56 @@ class TestQuadratureOracle:
         spec = OptionSpec(strike=1e7, maturity=0.25, rate=0.05)
         assert float(twin_call(section3_pair, spec, 0.0)) < 1e-8
         assert twin_call_quadrature(section3_pair, spec, 0.0) < 1e-8
+
+
+class TestExpectedTwinPrice:
+    """The mean of the twin price over log B against `expected_twin_call`,
+    the Black-76 form that makes the twin price's error explicit (README
+    "Known limitation"). Parameters are the README defaults."""
+
+    SPEC = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
+
+    @staticmethod
+    def pair_at(base, rho, alpha_value):
+        """base with mu_j set so that its alpha is alpha_value, as `--alpha` does."""
+        asset_j = base.asset_j
+        mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, asset_j.sigma)
+        return TwinPair(base.asset_i, AssetParams(mu_j, asset_j.sigma, asset_j.spot), float(rho))
+
+    @staticmethod
+    def oracle(pair, spec):
+        return expected_twin_call(pair.asset_j.spot, pair.asset_i.sigma, pair.asset_j.sigma,
+                                  pair.rho, alpha(pair), spec.strike, spec.maturity, spec.rate)
+
+    def test_gauss_hermite_mean_on_the_readme_option_cells(self, section3_pair):
+        # worst relative gap over the 441 cells, measured: 8.3e-15 at 160
+        # nodes (1.1e-13 at 120, where the quadrature's own error still shows)
+        nodes, weights = hermegauss(160)
+        weights = weights / math.sqrt(2 * math.pi)
+        spec = self.SPEC
+        worst = 0.0
+        for rho in np.linspace(-1, 1, 21):
+            for alpha_value in np.linspace(0.5, 1.5, 21):
+                pair = self.pair_at(section3_pair, rho, alpha_value)
+                a = alpha(pair)
+                # log B ~ N(0, sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2))
+                sd = pair.asset_j.sigma * math.sqrt(
+                    spec.maturity * ((1 - a) ** 2 + 2 * a * (1 - rho)))
+                mean = float(np.dot(weights, twin_call(pair, spec, sd * nodes)))
+                expected = self.oracle(pair, spec)
+                worst = max(worst, abs(mean - expected) / expected)
+        assert worst <= 5e-14
+
+    @pytest.mark.parametrize("rho, alpha_value", [(0.8, 1.1), (-0.5, 1.4), (0.0, 1.0)])
+    def test_price_mean_within_4_se_over_seeds(self, section3_pair, rho, alpha_value, capsys):
+        expected = self.oracle(self.pair_at(section3_pair, rho, alpha_value), self.SPEC)
+        z_scores = []
+        for seed in range(40):
+            argv = f"price --rho={rho} --alpha {alpha_value} --n 10000 --seed {seed}".split()
+            assert main(argv) == 0
+            record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+            mean, se = float(record["twin_price_mean"]), float(record["twin_price_se"])
+            z_scores.append((mean - expected) / se)
+        assert np.max(np.abs(z_scores)) <= 4.0, z_scores
+        # and the seeds' mean z-score within 4 of its standard errors
+        assert abs(np.mean(z_scores)) <= 4.0 / math.sqrt(len(z_scores)), z_scores

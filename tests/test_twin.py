@@ -117,6 +117,22 @@ class TestStochasticTerm:
         se = np.std(b, ddof=1) / np.sqrt(n)
         assert abs(np.mean(b) - expected) < 4 * se
 
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    @pytest.mark.parametrize("rho, alpha_value", [(1.0, 1.0), (0.6, 1.3), (-1.0, 0.5)])
+    def test_out_is_the_allocating_call_in_place(self, section3_pair, n, rho, alpha_value):
+        # the grid cells' form: log B in out[0], out[1] its scratch; the
+        # noises are read-only, so writing anything outside out raises
+        asset_j = AssetParams(mu=alpha_value * 0.8, sigma=0.4, spot=90.0)
+        pair = TwinPair(section3_pair.asset_i, asset_j, rho)
+        z_x, z_y = np.random.default_rng(n).standard_normal((2, n))
+        z_x.flags.writeable = z_y.flags.writeable = False
+        expected = stochastic_term(pair, 0.25, z_x, z_y)
+        out = np.full((2, n), np.nan)
+        log_b = stochastic_term(pair, 0.25, z_x, z_y, out=out)
+        assert log_b.base is out and log_b.ctypes.data == out.ctypes.data
+        assert log_b.shape == (n,)
+        assert log_b.tobytes() == expected.tobytes()
+
 
 class TestPredictTwin:
     def test_twin_of_itself(self):
