@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.4"
+__version__ = "0.5.5"
 
 __all__ = [
     "AssetParams",

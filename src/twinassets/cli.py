@@ -31,6 +31,8 @@ ONE_DAY = 1.0 / TRADING_DAYS_PER_YEAR
 ONE_MONTH = 21.0 / TRADING_DAYS_PER_YEAR
 
 _MODE_DEFAULT_N = {"asset": 40000, "option": 10000, "sigma-sweep": 40000, "horizon-compare": 40000}
+# the column a mape mode writes after rho,alpha,mape,se: each run's own value
+_MODE_EXTRA_COLUMN = {"sigma-sweep": ",sigma_j", "horizon-compare": ",horizon"}
 
 
 class Option(NamedTuple):
@@ -185,6 +187,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _rows(*columns):
+    """CSV rows of equal-length 1-D arrays, row k their element k, as `_fmt`'s
+    `%.17g`; yielded as text chunks, so the caller joins them once."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    # 4096 rows at a time: all rows at once as Python floats add ~10 MiB of peak memory
+    for start in range(0, len(columns[0]), 4096):
+        rows = zip(*(column[start : start + 4096].tolist() for column in columns))
+        yield "".join(line % row for row in rows)
+
+
 def _write_output(text: str, out_path: str | None) -> None:
     # Built fully in memory first: a failed run leaves no partial file.
     if out_path is None:
@@ -223,12 +235,7 @@ def run_simulate(opts: dict) -> str:
             f"non-finite or non-positive {name} at step {k}, t={_fmt(paths.times[k])}: "
             f"{name}={table[k, c]} (alpha = {alpha(pair)!r})"
         )
-    text = [",".join(_SIMULATE_HEADER) + "\n"]
-    # 4096 rows at a time: all rows at once as Python floats add ~10 MiB of peak memory
-    for start in range(0, steps + 1, 4096):
-        rows = zip(*(column[start : start + 4096].tolist() for column in columns))
-        text.append("".join("%.17g,%.17g,%.17g,%.17g\n" % row for row in rows))
-    return "".join(text)
+    return "".join([",".join(_SIMULATE_HEADER) + "\n", *_rows(*columns)])
 
 
 def run_price(opts: dict) -> str:
@@ -276,39 +283,31 @@ def run_mape(opts: dict) -> str:
             master_seed=opts["seed"],
         )
 
-    def rows_of(result, extra: str | None = None) -> list[str]:
-        out = []
-        for l, rho in enumerate(result.spec.rho_values):
-            for m, alpha_value in enumerate(result.spec.alpha_values):
-                row = (
-                    f"{_fmt(rho)},{_fmt(alpha_value)},"
-                    f"{_fmt(result.grid[l, m])},{_fmt(result.standard_errors[l, m])}"
-                )
-                out.append(row + (f",{extra}" if extra is not None else ""))
-        return out
-
     if mode == "asset":
-        result = mape_asset(pair, grid_at(opts["horizon"]), threads=threads)
-        lines = ["rho,alpha,mape,se"] + rows_of(result)
+        runs = [(mape_asset(pair, grid_at(opts["horizon"]), threads=threads), ())]
     elif mode == "option":
         spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-        result = mape_option(pair, spec, grid_at(spec.maturity), threads=threads)
-        lines = ["rho,alpha,mape,se"] + rows_of(result)
+        runs = [(mape_option(pair, spec, grid_at(spec.maturity), threads=threads), ())]
     elif mode == "sigma-sweep":
         sigmas = _parse_values(opts, "sigma_j_values")
         grid = grid_at(opts["horizon"])
         # every swept pair is built, and so validated, before any grid runs
         with naming(_flag("sigma_j_values")):
             swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
-        lines = ["rho,alpha,mape,se,sigma_j"]
-        for sigma_j, swept_pair in zip(sigmas, swept):
-            lines += rows_of(mape_asset(swept_pair, grid, threads=threads), extra=_fmt(sigma_j))
+        runs = [(mape_asset(p, grid, threads=threads), (s,)) for s, p in zip(sigmas, swept)]
     else:  # horizon-compare
-        lines = ["rho,alpha,mape,se,horizon"]
-        for horizon in (ONE_DAY, ONE_MONTH):
-            result = mape_asset(pair, grid_at(horizon), threads=threads)
-            lines += rows_of(result, extra=_fmt(horizon))
-    return "\n".join(lines) + "\n"
+        horizons = (ONE_DAY, ONE_MONTH)
+        runs = [(mape_asset(pair, grid_at(h), threads=threads), (h,)) for h in horizons]
+
+    # one row per (rho, alpha) cell, rho outer, as each grid is laid out
+    cells = np.meshgrid(rho_values, alpha_values, indexing="ij")
+    rho_column, alpha_column = (values.ravel() for values in cells)
+    text = ["rho,alpha,mape,se" + _MODE_EXTRA_COLUMN.get(mode, "") + "\n"]
+    for result, extra in runs:
+        extra_columns = (np.full(rho_column.size, value) for value in extra)
+        text += _rows(rho_column, alpha_column, result.grid.ravel(),
+                      result.standard_errors.ravel(), *extra_columns)
+    return "".join(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

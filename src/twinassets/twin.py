@@ -77,13 +77,11 @@ def stochastic_term(pair: TwinPair, tau: float, z_x, z_y, out=None):
     truth simulated from (z_j, z_tilde): drifts and spots cancel. Given
     out, two rows shaped as z_x, log B is formed in out[0] with the same
     operations, so the same bits, and returned; out[1] is overwritten.
+    Scalar noises give an np.float64.
     """
     kappa_x, kappa_y = stochastic_coefficients(pair, tau)
-    if out is None:
-        return kappa_x * z_x - kappa_y * z_y
-    np.multiply(kappa_x, z_x, out=out[0])
-    np.multiply(kappa_y, z_y, out=out[1])
-    return np.subtract(out[0], out[1], out=out[0])
+    x, y = (None, None) if out is None else out
+    return np.subtract(np.multiply(kappa_x, z_x, out=x), np.multiply(kappa_y, z_y, out=y), out=x)
 
 
 def predict_twin(pair: TwinPair, tau, s_i, log_b):

@@ -15,7 +15,7 @@ from twinassets import (
     stochastic_term,
     twin_call,
 )
-from twinassets.cli import main
+from twinassets.cli import _fmt, _rows, main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -568,3 +568,17 @@ class TestFlagsPerSubcommand:
         code, out = run(tmp_path, *argv)
         assert code == 0
         assert out.stat().st_size > 0
+
+
+class TestRows:
+    VALUES = (-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1 / 3, 1e300)
+
+    # 4096 rows are formatted at a time, so 4096 and 4097 cross the chunk edge
+    @pytest.mark.parametrize("length", [0, 1, 4096, 4097])
+    def test_every_row_is_fmt_of_its_fields(self, length):
+        k = np.arange(length)
+        columns = [np.array(self.VALUES)[(k + shift) % len(self.VALUES)] for shift in range(3)]
+        rows = "".join(_rows(*columns)).splitlines(keepends=True)
+        assert len(rows) == length
+        for row, fields in zip(rows, zip(*columns)):
+            assert row == ",".join(map(_fmt, fields)) + "\n"

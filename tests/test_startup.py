@@ -42,7 +42,7 @@ class TestImportBracket:
     def test_failed_import_enables_gc_again(self):
         out = probe(
             "import gc, sys\n"
-            "sys.modules['scipy.stats'] = None\n"
+            "sys.modules['scipy.special'] = None\n"
             "try:\n"
             "    import twinassets\n"
             "except ImportError:\n"

@@ -15,6 +15,7 @@ from twinassets import (
     predict_twin,
     stochastic_term,
 )
+from twinassets.twin import stochastic_coefficients
 from conftest import exact_relation_residual, terminal_pair
 
 finite_drift = st.floats(min_value=0.01, max_value=2.0)
@@ -126,12 +127,19 @@ class TestStochasticTerm:
         pair = TwinPair(section3_pair.asset_i, asset_j, rho)
         z_x, z_y = np.random.default_rng(n).standard_normal((2, n))
         z_x.flags.writeable = z_y.flags.writeable = False
+        kappa_x, kappa_y = stochastic_coefficients(pair, 0.25)
         expected = stochastic_term(pair, 0.25, z_x, z_y)
+        assert expected.tobytes() == (kappa_x * z_x - kappa_y * z_y).tobytes()
         out = np.full((2, n), np.nan)
         log_b = stochastic_term(pair, 0.25, z_x, z_y, out=out)
         assert log_b.base is out and log_b.ctypes.data == out.ctypes.data
         assert log_b.shape == (n,)
         assert log_b.tobytes() == expected.tobytes()
+        # Python-float noises: the same formula in Python floats, bit for bit
+        x, y = float(z_x[0]), float(z_y[0])
+        scalar = stochastic_term(pair, 0.25, x, y)
+        assert isinstance(scalar, float)
+        assert np.float64(scalar).tobytes() == np.float64(kappa_x * x - kappa_y * y).tobytes()
 
 
 class TestPredictTwin:
