@@ -6,8 +6,8 @@ same flags and seed are byte-identical regardless of `--threads`.
 
 Each subcommand accepts only the flags its runner reads (see OPTIONS);
 any other flag, or one the chosen `mape` mode does not read, is a usage
-error. Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
-4 numerical failure.
+error. Exit codes: 0 success, 2 usage/validation error (a size too large
+to allocate included), 3 I/O error, 4 numerical failure.
 """
 
 import argparse
@@ -139,6 +139,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
     config = _read_config(flags["config"]) if flags.get("config") else {}
     mode = flags.get("mode", config.get("mode", OPTIONS["mode"].default))
+    if args.command == "mape" and mode not in _MODE_DEFAULT_N:
+        raise InvalidParameterError(f"unknown mape mode {mode!r}")
     merged = {}
     for name, opt in OPTIONS.items():
         read = args.command in opt.readers and (
@@ -214,9 +216,10 @@ def run_simulate(opts: dict) -> str:
     # Predicted trajectory: at each grid time t, apply the twin relation
     # from t=0 over horizon t, with the fresh noises accumulated as
     # independent random walks so the prediction is a coherent path.
-    rng = substream(opts["seed"], STREAM_DRAWS)
-    w_x = np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))
-    w_y = np.cumsum(np.sqrt(dt) * rng.standard_normal(steps))
+    draw = NoiseDraw.sample(substream(opts["seed"], STREAM_DRAWS), steps)
+    w_x = np.cumsum(np.sqrt(dt) * draw.z_x)
+    w_y = np.cumsum(np.sqrt(dt) * draw.z_y)
+    del draw  # not held through the output text, the run's peak
     # the walks already carry the sqrt(t) scaling, so B takes tau = 1
     log_b = stochastic_term(pair, 1.0, w_x, w_y)
     predicted = np.empty(steps + 1)
@@ -266,8 +269,6 @@ def run_price(opts: dict) -> str:
 
 def run_mape(opts: dict) -> str:
     mode = opts["mode"]
-    if mode not in _MODE_DEFAULT_N:
-        raise InvalidParameterError(f"unknown mape mode {mode!r}")
     pair = _build_pair(opts)
     threads = _resolve_threads(opts["threads"])
     n = _replications(opts, _MODE_DEFAULT_N[mode])
@@ -343,7 +344,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

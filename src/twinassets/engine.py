@@ -65,20 +65,20 @@ class TwinPair:
 
 @dataclass(frozen=True)
 class NoiseDraw:
-    """The two fresh independent unit normals (z_x, z_y) of one replication
-    of the twin approximation, the only noise its stochastic term log B
-    reads. Wiener increments over a horizon tau are z * sqrt(tau). Fields
-    may be scalars or equal-shape numpy arrays (one entry per replication).
+    """The two fresh independent unit normals (z_x, z_y) of the twin
+    approximation, the only noise its stochastic term log B reads; `sample`
+    draws them for the price, both MAPE grids and the simulated prediction.
+    Wiener increments over a horizon tau are z * sqrt(tau). Fields may be
+    scalars or equal-shape numpy arrays (one entry per replication or step).
     """
 
     z_x: float | np.ndarray
     z_y: float | np.ndarray
 
     @classmethod
-    def sample(cls, rng: np.random.Generator, n: int | None = None) -> "NoiseDraw":
-        """Draw z_x, then z_y, from `rng` (scalars if n is None)."""
-        size = None if n is None else int(n)
-        return cls(z_x=rng.standard_normal(size), z_y=rng.standard_normal(size))
+    def sample(cls, rng: np.random.Generator, n: int) -> "NoiseDraw":
+        """Draw n values of z_x, then n of z_y, from `rng`."""
+        return cls(z_x=rng.standard_normal(n), z_y=rng.standard_normal(n))
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,10 @@ class GridSpec:
 @dataclass(frozen=True)
 class MapeGrid:
     """MAPE surface (percent) indexed (rho_index, alpha_index), with
-    matching Monte Carlo standard errors and the spec that produced it.
-    A plain record: `_run_grid`, which builds it, has checked that every
-    value and error is finite."""
+    matching Monte Carlo standard errors. A plain record: `_run_grid`,
+    which builds it, has checked that every value and error is finite."""
 
     grid: np.ndarray
-    spec: GridSpec
     standard_errors: np.ndarray
 
 
@@ -129,7 +127,8 @@ def _check_threads(threads: int) -> None:
 
 def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
     """Evaluate cell_fn(l, m, scratch) -> (mean, std) of the cell's
-    absolute percentage errors over every cell, as MAPE and SE in percent.
+    absolute percentage errors over every cell, as MAPE and SE in percent,
+    returned as a `MapeGrid` of the two surfaces; `grid` is the caller's.
 
     scratch is a (2, n) float array owned by one worker: a cell may
     overwrite it, and the next cell of that worker gets it back. threads
@@ -173,7 +172,7 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
             f"non-finite MAPE at rho={grid.rho_values[l]!r}, "
             f"alpha={grid.alpha_values[m]!r}: mape={mape[l, m]}, se={se[l, m]}"
         )
-    return MapeGrid(grid=mape, spec=grid, standard_errors=se)
+    return MapeGrid(grid=mape, standard_errors=se)
 
 
 # Strip count of `_locality_order`, chosen by timing `ndtr` on the normal

@@ -75,6 +75,29 @@ def test_traced_grid_runs(mode, tmp_path):
     assert metrics["pricing.normal_cdf_calls"] == 2 * twin_calls
 
 
+TRACED_SIMULATE = """
+import json, sys
+import spans, twinassets, twinassets.cli
+
+tracer = spans.Tracer()
+spans.install(tracer, twinassets)
+code = twinassets.cli.main(["simulate", "--steps", "50", "--seed", "3",
+                            "--out", sys.argv[1] + ".csv"])
+assert code == 0, code
+tracer.dump(sys.argv[1])
+with open(sys.argv[1], encoding="utf-8") as fh:
+    print(json.dumps(spans.layer_metrics(json.load(fh))))
+"""
+
+
+# simulate_paths draws (z_j, z_tilde) and the twin prediction (z_x, z_y)
+# per step, both through engine, and every normal drawn is read
+def test_traced_simulate_runs(tmp_path):
+    metrics = json.loads(python("-c", TRACED_SIMULATE, str(tmp_path / "trace.json")).stdout)
+    assert metrics["engine.normal_draws"] == 4 * 50
+    assert metrics["engine.draws_used_ratio"] == 1.0
+
+
 def test_speedup_child_times_both_thread_counts(tmp_path):
     # the only traced caller of mape_asset(threads=) and GridSpec(horizon=)
     result = tmp_path / "speedup.json"

@@ -562,6 +562,17 @@ class TestFlagsPerSubcommand:
         assert code == 2
         assert "--horizon" in capsys.readouterr().err
 
+    # an unknown mode is named before any flag is checked against it
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_mode_named_before_gated_flags(self, source, tmp_path, capsys):
+        cfg = tmp_path / "foo.cfg"
+        cfg.write_text("mode = foo\n")
+        mode = ["--mode", "foo"] if source == "flag" else ["--config", str(cfg)]
+        code, out = run(tmp_path, "mape", *mode, "--horizon", "0.1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: validation: unknown mape mode 'foo'\n"
+        assert not out.exists()
+
     # --out given last wins over the README's own --out
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_readme_command_runs(self, argv, tmp_path):

@@ -125,6 +125,12 @@ RECORDED = [
     "--alpha-grid 1e-10,1 --n 2",
     "mape --mode asset --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
     "--alpha-grid 1e-10,1 --n 2",
+    # 1e15 doubles (7.1 PiB) exceed the x86-64 user address space, so numpy
+    # fails before it allocates anything (a traceback and exit 1 before 0.5.6)
+    "price --n 1000000000000000",
+    "simulate --steps 1000000000000000",
+    "mape --n 1000000000000000 --rho-grid 0 --alpha-grid 1",
+    "mape --rho-grid 0:1:1000000000000000 --alpha-grid 1 --n 2",
 ]
 
 NAMED_FAILURE = re.compile(

@@ -61,10 +61,6 @@ class TestNoiseDraw:
         assert draw.z_x.tobytes() == z[:5].tobytes()
         assert draw.z_y.tobytes() == z[5:].tobytes()
 
-    def test_scalar_draw(self):
-        draw = NoiseDraw.sample(np.random.default_rng(9))
-        assert np.ndim(draw.z_x) == 0 and np.ndim(draw.z_y) == 0
-
 
 class TestTerminalPair:
     """One step of `simulate_paths` is the exact terminal pair over dt;

@@ -125,7 +125,6 @@ class TestMapeAsset:
         result = mape_asset(section3_pair, g)
         assert result.grid.shape == (2, 3)
         assert result.standard_errors.shape == (2, 3)
-        assert result.spec == g
         assert np.all(result.grid >= 0)
 
 
@@ -177,9 +176,10 @@ class TestLogRatioKernel:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_readme_grid_within_6_se_of_closed_form(self, section3_pair, seed):
-        result = mape_asset(section3_pair, grid(README_RHOS, README_ALPHAS, n=40000, seed=seed))
-        for l, rho in enumerate(result.spec.rho_values):
-            for m, alpha_value in enumerate(result.spec.alpha_values):
+        g = grid(README_RHOS, README_ALPHAS, n=40000, seed=seed)
+        result = mape_asset(section3_pair, g)
+        for l, rho in enumerate(g.rho_values):
+            for m, alpha_value in enumerate(g.alpha_values):
                 reference = asset_mape_closed_form(0.4, ONE_DAY, rho, alpha_value)
                 value, se = result.grid[l, m], result.standard_errors[l, m]
                 assert abs(value - reference) <= 6 * se, (rho, alpha_value, value, reference, se)
@@ -194,8 +194,9 @@ class TestLogRatioKernel:
                 return mape_asset(section3_pair, g)
             return mape_option(section3_pair, TestMapeOption.SPEC, g)
 
-        big = run(grid(np.linspace(-1, 1, 5), np.linspace(0.5, 1.5, 5), n=3000))
-        one = run(grid([big.spec.rho_values[3]], [big.spec.alpha_values[1]], n=3000))
+        g = grid(np.linspace(-1, 1, 5), np.linspace(0.5, 1.5, 5), n=3000)
+        big = run(g)
+        one = run(grid([g.rho_values[3]], [g.alpha_values[1]], n=3000))
         assert big.grid[3, 1].tobytes() == one.grid[0, 0].tobytes()
         assert big.standard_errors[3, 1].tobytes() == one.standard_errors[0, 0].tobytes()
 

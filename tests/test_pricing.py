@@ -180,7 +180,7 @@ class TestTwinCall:
             pair = identical_twin_pair(rng)
             spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2),
                               rate=rng.uniform(0, 0.1))
-            log_b = log_b_of(pair, spec, NoiseDraw.sample(rng))
+            log_b = log_b_of(pair, spec, NoiseDraw(*rng.standard_normal(2)))
             # e = 1 and log A = log B = 0 exactly whatever the drift and the
             # draw, so the twin forward is S_i; bs_call prices at drift 1
             assert twin_call(pair, spec, log_b) == bs_call(pair.asset_j.spot, spec,
@@ -240,7 +240,7 @@ class TestQuadratureOracle:
             pair = random_positive_alpha_pair(rng)
             spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                               rate=rng.uniform(0, 0.1))
-            log_b = log_b_of(pair, spec, NoiseDraw.sample(rng))
+            log_b = log_b_of(pair, spec, NoiseDraw(*rng.standard_normal(2)))
             closed = float(twin_call(pair, spec, log_b))
             quad = twin_call_quadrature(pair, spec, log_b)
             assert quad == pytest.approx(closed, rel=1e-6)
