@@ -4,10 +4,11 @@ Outputs are plain CSV (header row, `.` decimal) or key=value records so
 any external tool can plot them; nothing is rendered here. Runs with the
 same flags and seed are byte-identical regardless of `--threads`.
 
-Each subcommand accepts only the flags its runner reads (see OPTIONS);
-any other flag, or one the chosen `mape` mode does not read, is a usage
-error. Exit codes: 0 success, 2 usage/validation error (a size too large
-to allocate included), 3 I/O error, 4 numerical failure.
+Each subcommand accepts only the flags its readers read (see OPTIONS);
+any other flag, one the chosen `mape` mode does not read, or `--mu-j`
+with alpha set, is a usage error. Config files do not nest. Exit codes:
+0 success, 2 usage/validation error (a size too large to allocate
+included), 3 I/O error, 4 numerical failure.
 """
 
 import argparse
@@ -30,31 +31,31 @@ TRADING_DAYS_PER_YEAR = 252
 ONE_DAY = 1.0 / TRADING_DAYS_PER_YEAR
 ONE_MONTH = 21.0 / TRADING_DAYS_PER_YEAR
 
-_MODE_DEFAULT_N = {"asset": 40000, "option": 10000, "sigma-sweep": 40000, "horizon-compare": 40000}
-# the column a mape mode writes after rho,alpha,mape,se: each run's own value
-_MODE_EXTRA_COLUMN = {"sigma-sweep": ",sigma_j", "horizon-compare": ",horizon"}
+# each mape mode: its default --n, and the column it writes after rho,alpha,mape,se
+_MODES = {"asset": (40000, ""), "option": (10000, ""), "sigma-sweep": (40000, ",sigma_j"),
+          "horizon-compare": (40000, ",horizon")}
 
 
 class Option(NamedTuple):
     """One option, keyed in OPTIONS by its config key; the flag is the key
-    with '-' for '_'. `readers` are the subcommands whose runner reads it;
-    under `mape`, `modes` narrows that to the modes that do (None: all)."""
+    with '-' for '_'. `readers` lists the runs that read it: `simulate`,
+    `price` and the `mape` modes; a `mape` run reads its mode's options."""
 
     type: type
     default: object
     readers: tuple
     help: str
-    modes: tuple | None = None
 
 
-_COMMANDS = {
-    "simulate": "simulate a correlated path pair with twin prediction",
-    "price": "price a call on asset j via its twin",
-    "mape": "run a MAPE grid experiment",
+_MAPE = tuple(_MODES)
+_COMMANDS = {  # each subcommand's help line and readers
+    "simulate": ("simulate a correlated path pair with twin prediction", ("simulate",)),
+    "price": ("price a call on asset j via its twin", ("price",)),
+    "mape": ("run a MAPE grid experiment", _MAPE),
 }
-_ALL = tuple(_COMMANDS)
 _PAIR = ("simulate", "price")  # mape sets mu_j and rho per grid cell
-_PRICED = ("price", "mape")
+_ALL = (*_PAIR, *_MAPE)
+_PRICED = ("price", *_MAPE)
 
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
@@ -63,27 +64,25 @@ OPTIONS = {
     "mu_i": Option(float, 0.4, _ALL, "drift of asset i (the traded twin)"),
     "mu_j": Option(float, 0.8, _PAIR, "drift of asset j"),
     "sigma_i": Option(float, 0.2, _ALL, "volatility of asset i"),
-    "sigma_j": Option(float, 0.4, _ALL, "volatility of asset j",
-                      ("asset", "option", "horizon-compare")),
+    "sigma_j": Option(float, 0.4, (*_PAIR, "asset", "option", "horizon-compare"),
+                      "volatility of asset j"),
     "spot_i": Option(float, 80.0, _ALL, "spot price of asset i"),
     "spot_j": Option(float, 90.0, _ALL, "spot price of asset j"),
     "rho": Option(float, 1.0, _PAIR, "return correlation"),
-    "alpha": Option(float, None, _PAIR, "set similarity ratio directly (overrides --mu-j)"),
+    "alpha": Option(float, None, _PAIR, "set similarity ratio directly (in place of --mu-j)"),
     "steps": Option(int, 252, ("simulate",), "number of time steps"),
     "dt": Option(float, ONE_DAY, ("simulate",), "step size in years"),
-    "horizon": Option(float, ONE_DAY, ("mape",), "prediction horizon (years)",
-                      ("asset", "sigma-sweep")),
+    "horizon": Option(float, ONE_DAY, ("asset", "sigma-sweep"), "prediction horizon (years)"),
     "n": Option(int, None, _PRICED, "number of replications (per cell in mape)"),
-    "strike": Option(float, 90.0, _PRICED, "call strike", ("option",)),
-    "rate": Option(float, 0.05, _PRICED, "risk-free rate", ("option",)),
-    "maturity": Option(float, 0.25, _PRICED, "call maturity (years)", ("option",)),
+    "strike": Option(float, 90.0, ("price", "option"), "call strike"),
+    "rate": Option(float, 0.05, ("price", "option"), "risk-free rate"),
+    "maturity": Option(float, 0.25, ("price", "option"), "call maturity (years)"),
     "seed": Option(int, 12345, _ALL, "master seed"),
-    "threads": Option(str, "1", ("mape",), "worker threads or 'auto'"),
-    "mode": Option(str, "asset", ("mape",), "one of " + ", ".join(_MODE_DEFAULT_N)),
-    "rho_grid": Option(str, "-1:1:21", ("mape",), "'lo:hi:count' or comma list"),
-    "alpha_grid": Option(str, "0.5:1.5:21", ("mape",), "'lo:hi:count' or comma list"),
-    "sigma_j_values": Option(str, "0.2,0.4,0.6", ("mape",), "comma list of sigma_j values",
-                             ("sigma-sweep",)),
+    "threads": Option(str, "1", _MAPE, "worker threads or 'auto'"),
+    "mode": Option(str, "asset", _MAPE, "one of " + ", ".join(_MODES)),
+    "rho_grid": Option(str, "-1:1:21", _MAPE, "'lo:hi:count' or comma list"),
+    "alpha_grid": Option(str, "0.5:1.5:21", _MAPE, "'lo:hi:count' or comma list"),
+    "sigma_j_values": Option(str, "0.2,0.4,0.6", ("sigma-sweep",), "comma list of sigma_j values"),
     "out": Option(str, None, _ALL, "output file (default: stdout)"),
     "config": Option(str, None, _ALL, "key = value config file"),
 }
@@ -124,7 +123,7 @@ def _read_config(path: str) -> dict:
                 raise InvalidParameterError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in OPTIONS:
+            if key not in OPTIONS or key == "config":  # config files do not nest
                 raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
             with naming(f"{path}:{lineno}: {key}"):
                 values[key] = OPTIONS[key].type(value.strip())
@@ -132,23 +131,27 @@ def _read_config(path: str) -> dict:
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
-    """Flag > config file > built-in default, per key. A config file may set
-    any known key, so one file can serve every subcommand; a key that the
-    subcommand, or the chosen mape mode, does not read keeps its default
-    and is not validated. Such a flag is a usage error."""
+    """Flag > config file > built-in default, per key. The reader is the
+    subcommand or, under `mape`, the mode; it reads the options that list
+    it, except `mu_j` when `alpha`, which sets mu_j, is given. A config file
+    may set any known key, so one file can serve every subcommand; a key
+    that the reader does not read keeps its default and is not validated.
+    Such a flag is a usage error."""
     flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
     config = _read_config(flags["config"]) if flags.get("config") else {}
-    mode = flags.get("mode", config.get("mode", OPTIONS["mode"].default))
-    if args.command == "mape" and mode not in _MODE_DEFAULT_N:
-        raise InvalidParameterError(f"unknown mape mode {mode!r}")
+    reader = args.command
+    if reader == "mape":
+        reader = flags.get("mode", config.get("mode", OPTIONS["mode"].default))
+        if reader not in _MODES:
+            raise InvalidParameterError(f"unknown mape mode {reader!r}")
+    alpha_given = "alpha" in flags or "alpha" in config
     merged = {}
     for name, opt in OPTIONS.items():
-        read = args.command in opt.readers and (
-            args.command != "mape" or opt.modes is None or mode in opt.modes
-        )
+        read = reader in opt.readers and not (name == "mu_j" and alpha_given)
         if name in flags:
             if not read:
-                raise InvalidParameterError(f"{_flag(name)} is not read by mape --mode {mode}")
+                where = f"mape --mode {reader}" if reader in _MODES else f"{reader} with alpha set"
+                raise InvalidParameterError(f"{_flag(name)} is not read by {where}")
             merged[name] = flags[name]
         elif read and name in config:
             merged[name] = config[name]
@@ -176,7 +179,8 @@ def _build_pair(opts: dict) -> TwinPair:
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     mu_j = opts["mu_j"]
     if opts["alpha"] is not None:
-        mu_j = alpha_to_mu_j(opts["alpha"], opts["mu_i"], opts["sigma_i"], opts["sigma_j"])
+        with naming("--alpha"):
+            mu_j = alpha_to_mu_j(opts["alpha"], opts["mu_i"], opts["sigma_i"], opts["sigma_j"])
     with naming("asset j"):
         asset_j = AssetParams(mu=mu_j, sigma=opts["sigma_j"], spot=opts["spot_j"])
     return TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
@@ -271,7 +275,7 @@ def run_mape(opts: dict) -> str:
     mode = opts["mode"]
     pair = _build_pair(opts)
     threads = _resolve_threads(opts["threads"])
-    n = _replications(opts, _MODE_DEFAULT_N[mode])
+    n = _replications(opts, _MODES[mode][0])
     rho_values = _parse_values(opts, "rho_grid")
     alpha_values = _parse_values(opts, "alpha_grid")
 
@@ -303,7 +307,7 @@ def run_mape(opts: dict) -> str:
     # one row per (rho, alpha) cell, rho outer, as each grid is laid out
     cells = np.meshgrid(rho_values, alpha_values, indexing="ij")
     rho_column, alpha_column = (values.ravel() for values in cells)
-    text = ["rho,alpha,mape,se" + _MODE_EXTRA_COLUMN.get(mode, "") + "\n"]
+    text = ["rho,alpha,mape,se" + _MODES[mode][1] + "\n"]
     for result, extra in runs:
         extra_columns = (np.full(rho_column.size, value) for value in extra)
         text += _rows(rho_column, alpha_column, result.grid.ravel(),
@@ -317,14 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Twin-asset Monte Carlo simulation, pricing, and MAPE experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, summary in _COMMANDS.items():
+    for command, (summary, readers) in _COMMANDS.items():
         # no prefix matching: `mape --rho` must not be read as --rho-grid
         p_command = sub.add_parser(command, help=summary, allow_abbrev=False)
         for key, opt in OPTIONS.items():
-            if command in opt.readers:
-                modes = opt.modes if command == "mape" else None
-                help_text = opt.help + (f" (modes: {', '.join(modes)})" if modes else "")
-                p_command.add_argument(_flag(key), type=opt.type, help=help_text)
+            reading = [reader for reader in readers if reader in opt.readers]
+            if reading:  # any of the subcommand's readers reads it
+                some = f" (modes: {', '.join(reading)})" if len(reading) < len(readers) else ""
+                p_command.add_argument(_flag(key), type=opt.type, help=opt.help + some)
     return parser
 
 

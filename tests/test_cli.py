@@ -1,4 +1,6 @@
+import argparse
 import decimal
+import re
 import shlex
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from twinassets import (
     stochastic_term,
     twin_call,
 )
-from twinassets.cli import _fmt, _rows, main
+from twinassets.cli import _fmt, _merged_options, _rows, build_parser, main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -72,7 +74,10 @@ NAMED_USAGE_ERRORS = {
         "--sigma-j-values: sigma must be > 0, got -0.1",
     "mape --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "price --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
-    "price --alpha 1 --sigma-j -1": "sigma_i and sigma_j must be > 0, got 0.2, -1.0",
+    # deriving mu_j from --alpha names the flag since 0.5.7
+    "price --alpha 1 --sigma-j -1": "--alpha: sigma_i and sigma_j must be > 0, got 0.2, -1.0",
+    "price --alpha 0": "--alpha: alpha_target must be > 0, got 0.0",
+    "simulate --mu-i 0 --alpha 1": "--alpha: mu_i must be nonzero",
     "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "simulate --spot-i -5": "asset i: spot must be > 0, got -5.0",
     "simulate --spot-j 0": "asset j: spot must be > 0, got 0.0",
@@ -90,6 +95,68 @@ NAMED_USAGE_ERRORS = {
     "--alpha-grid 1e-10,1 --n 2":
         "cell rho=0.0, alpha=1e-10: asset j: twin pricing requires alpha > 0, got alpha = 0.0",
 }
+
+
+# Which reader reads which flag, written out rather than derived from
+# OPTIONS. Columns: simulate, price, then mape --mode asset, option,
+# sigma-sweep, horizon-compare. `+` read, `p` rejected by the parser (the
+# subcommand has no such flag), `m` rejected by the mode gate (exit 2).
+READERS = ("simulate", "price", "asset", "option", "sigma-sweep", "horizon-compare")
+SUBCOMMAND_READERS = {"simulate": READERS[:1], "price": READERS[1:2], "mape": READERS[2:]}
+GATE = {
+    "--mu-i": "++++++",
+    "--mu-j": "++pppp",
+    "--sigma-i": "++++++",
+    "--sigma-j": "++++m+",
+    "--spot-i": "++++++",
+    "--spot-j": "++++++",
+    "--rho": "++pppp",
+    "--alpha": "++pppp",
+    "--steps": "+ppppp",
+    "--dt": "+ppppp",
+    "--horizon": "pp+m+m",
+    "--n": "p+++++",
+    "--strike": "p+m+mm",
+    "--rate": "p+m+mm",
+    "--maturity": "p+m+mm",
+    "--seed": "++++++",
+    "--threads": "pp++++",
+    "--mode": "pp++++",
+    "--rho-grid": "pp++++",
+    "--alpha-grid": "pp++++",
+    "--sigma-j-values": "ppmm+m",
+    "--out": "++++++",
+    "--config": "++++++",
+}
+
+
+def gate_argv(reader, flag, value):
+    """argv giving `flag` to `reader`; a mape mode comes last, so it wins
+    over a --mode flag under test."""
+    if reader in ("simulate", "price"):
+        return [reader, flag, value]
+    return ["mape", flag, value, "--mode", reader]
+
+
+def readme_flag_table():
+    """{subcommand: {flag: the modes named for it, or None}} from README's
+    "Each subcommand accepts only the flags it reads" table; the `all`
+    row's flags are in every subcommand's."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("Each subcommand accepts only the flags it reads"):]
+    rows = {}
+    for line in table.splitlines()[4:]:  # past the header and its rule
+        if not line.startswith("|"):
+            break
+        name, flags = line.strip("|").split("|")
+        name = name.strip(" `")
+        head, _, by_mode = flags.partition("by mode:")
+        rows[name] = dict.fromkeys(re.findall(r"`(--[\w-]+)`", head))
+        for group, modes in re.findall(r"((?:`--[\w-]+`,? )+)\(([^)]*)\)", by_mode):
+            for flag in re.findall(r"`(--[\w-]+)`", group):
+                rows[name][flag] = re.findall(r"`([\w-]+)`", modes)
+    shared = rows.pop("all")
+    return {name: {**shared, **flags} for name, flags in rows.items()}
 
 
 def forbid_draws(monkeypatch):
@@ -516,6 +583,9 @@ class TestFlagsPerSubcommand:
         (["mape", "--mode", "horizon-compare", "--maturity", "1"], "--maturity"),
         (["mape", "--sigma-j-values", "0.2"], "--sigma-j-values"),
         (["mape", "--mode", "option", "--sigma-j-values", "0.2"], "--sigma-j-values"),
+        # alpha sets mu_j
+        (["simulate", "--mu-j", "0.9", "--alpha", "1.1"], "--mu-j"),
+        (["price", "--mu-j", "0.9", "--alpha", "1.1"], "--mu-j"),
     ])
     def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -536,7 +606,7 @@ class TestFlagsPerSubcommand:
 
     @pytest.mark.parametrize("line, message", [
         ("rho = 2", "rho must lie in [-1, 1], got 2.0"),
-        ("alpha = -1", "alpha_target must be > 0, got -1.0"),
+        ("alpha = -1", "--alpha: alpha_target must be > 0, got -1.0"),
         ("mu_j = nan", "asset j: mu must be finite, got nan"),
     ])
     def test_config_key_mape_does_not_read_is_not_validated(self, line, message, tmp_path,
@@ -561,6 +631,78 @@ class TestFlagsPerSubcommand:
         code, _ = run(tmp_path, "mape", "--config", str(cfg), "--horizon", "0.1")
         assert code == 2
         assert "--horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", list(GATE))
+    def test_gate_matrix(self, flag, tmp_path, capsys):
+        # in-process: only parsing and the gate run, never a runner
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("")
+        value = {"--mode": "asset", "--out": "unused.csv", "--config": str(cfg)}.get(flag, "1")
+        key = flag[2:].replace("-", "_")
+        for reader, expected in zip(READERS, GATE[flag]):
+            argv = gate_argv(reader, flag, value)
+            if expected == "p":
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(argv)
+                assert exc.value.code == 2, argv
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+                continue
+            args = build_parser().parse_args(argv)
+            if expected == "m":
+                with pytest.raises(ValueError, match=f"^{flag} is not read by mape --mode "
+                                                     f"{reader}$"):
+                    _merged_options(args)
+            else:
+                assert _merged_options(args)[key] == getattr(args, key), argv
+
+    def test_readme_flag_table_is_the_parser_and_gate(self):
+        # each subcommand row lists exactly the flags its parser accepts, and
+        # a flag listed with modes is read by exactly those modes
+        table = readme_flag_table()
+        subparsers = next(action for action in build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(table) == set(subparsers.choices) == set(SUBCOMMAND_READERS)
+        for command, flags in table.items():
+            parsed = {flag for action in subparsers.choices[command]._actions
+                      for flag in action.option_strings}
+            assert set(flags) == parsed - {"-h", "--help"}, command
+            readers = SUBCOMMAND_READERS[command]
+            for flag, modes in flags.items():
+                reading = [reader for reader, cell in zip(READERS, GATE[flag])
+                           if reader in readers and cell == "+"]
+                assert list(modes or readers) == reading, (command, flag)
+
+    def test_config_alpha_with_mu_j_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "alpha.cfg"
+        cfg.write_text("alpha = 1.1\n")
+        for command in ("simulate", "price"):
+            code, out = run(tmp_path, command, "--config", str(cfg), "--mu-j", "0.9")
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"error: validation: --mu-j is not read by {command} with alpha set\n")
+            assert not out.exists()
+
+    def test_config_mu_j_with_alpha_flag_is_not_read(self, tmp_path):
+        # alpha sets mu_j, so a config mu_j beside it is neither used nor checked
+        cfg = tmp_path / "mu_j.cfg"
+        cfg.write_text("mu_j = nan\n")
+        for command, args in (("simulate", ("--steps", "5")), ("price", ("--n", "200"))):
+            argv = (command, "--alpha", "1.1", "--rho", "0.8", *args)
+            code, out = run(tmp_path, *argv, "--config", str(cfg), name="config.csv")
+            assert code == 0
+            _, plain = run(tmp_path, *argv, name="plain.csv")
+            assert out.read_bytes() == plain.read_bytes()
+
+    def test_config_files_do_not_nest(self, tmp_path, capsys):
+        inner = tmp_path / "inner.cfg"
+        inner.write_text("n = 3\n")
+        outer = tmp_path / "outer.cfg"
+        outer.write_text(f"seed = 3\nconfig = {inner}\n")
+        code, out = run(tmp_path, "price", "--config", str(outer))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: validation: {outer}:2: unknown key 'config'\n")
+        assert not out.exists()
 
     # an unknown mode is named before any flag is checked against it
     @pytest.mark.parametrize("source", ["flag", "config"])
