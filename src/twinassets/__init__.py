@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.7"
+__version__ = "0.5.8"
 
 __all__ = [
     "AssetParams",

@@ -6,7 +6,9 @@ same flags and seed are byte-identical regardless of `--threads`.
 
 Each subcommand accepts only the flags its readers read (see OPTIONS);
 any other flag, one the chosen `mape` mode does not read, or `--mu-j`
-with alpha set, is a usage error. Config files do not nest. Exit codes:
+with alpha set, is a usage error. `_merged_options` alone converts an
+option's text, from its flag or config line, and names that source when
+the text is rejected. Config files do not nest. Exit codes:
 0 success, 2 usage/validation error (a size too large to allocate
 included), 3 I/O error, 4 numerical failure.
 """
@@ -15,7 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,12 +38,48 @@ _MODES = {"asset": (40000, ""), "option": (10000, ""), "sigma-sweep": (40000, ",
           "horizon-compare": (40000, ",horizon")}
 
 
+def _positive(convert: Callable[[str], float]) -> Callable[[str], float]:
+    """`convert`, then a check that its value is > 0 (nan is not)."""
+
+    def checked(text: str) -> float:
+        value = convert(text)
+        if not value > 0:
+            raise InvalidParameterError(f"must be > 0, got {value}")
+        return value
+
+    return checked
+
+
+def _values(text: str) -> list[float]:
+    """A value list: either 'lo:hi:count' or 'v1,v2,...'."""
+    text = text.strip()
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise InvalidParameterError(f"grid must be lo:hi:count, got {text!r}")
+        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise InvalidParameterError(f"grid count must be >= 1, got {count}")
+        return [float(v) for v in np.linspace(lo, hi, count)]
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise InvalidParameterError(f"expected at least one value, got {text!r}")
+    return values
+
+
+def _threads(text: str) -> int:
+    """'auto' is the CPU count; `mape_asset` and `mape_option` reject a count below 1."""
+    return (os.cpu_count() or 1) if text == "auto" else int(text)
+
+
 class Option(NamedTuple):
     """One option, keyed in OPTIONS by its config key; the flag is the key
-    with '-' for '_'. `readers` lists the runs that read it: `simulate`,
-    `price` and the `mape` modes; a `mape` run reads its mode's options."""
+    with '-' for '_'. `type` converts the option's text, from a flag or a
+    config line, to its value, and `default` is already a value. `readers`
+    lists the runs that read it: `simulate`, `price` and the `mape` modes;
+    a `mape` run reads its mode's options."""
 
-    type: type
+    type: Callable[[str], object]
     default: object
     readers: tuple
     help: str
@@ -55,7 +93,6 @@ _COMMANDS = {  # each subcommand's help line and readers
 }
 _PAIR = ("simulate", "price")  # mape sets mu_j and rho per grid cell
 _ALL = (*_PAIR, *_MAPE)
-_PRICED = ("price", *_MAPE)
 
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
@@ -69,20 +106,23 @@ OPTIONS = {
     "spot_i": Option(float, 80.0, _ALL, "spot price of asset i"),
     "spot_j": Option(float, 90.0, _ALL, "spot price of asset j"),
     "rho": Option(float, 1.0, _PAIR, "return correlation"),
-    "alpha": Option(float, None, _PAIR, "set similarity ratio directly (in place of --mu-j)"),
+    "alpha": Option(_positive(float), None, _PAIR,
+                    "set similarity ratio directly (in place of --mu-j)"),
     "steps": Option(int, 252, ("simulate",), "number of time steps"),
     "dt": Option(float, ONE_DAY, ("simulate",), "step size in years"),
     "horizon": Option(float, ONE_DAY, ("asset", "sigma-sweep"), "prediction horizon (years)"),
-    "n": Option(int, None, _PRICED, "number of replications (per cell in mape)"),
+    "n": Option(_positive(int), None, ("price", *_MAPE),
+                "number of replications (per cell in mape)"),
     "strike": Option(float, 90.0, ("price", "option"), "call strike"),
     "rate": Option(float, 0.05, ("price", "option"), "risk-free rate"),
     "maturity": Option(float, 0.25, ("price", "option"), "call maturity (years)"),
     "seed": Option(int, 12345, _ALL, "master seed"),
-    "threads": Option(str, "1", _MAPE, "worker threads or 'auto'"),
+    "threads": Option(_threads, 1, _MAPE, "worker threads or 'auto'"),
     "mode": Option(str, "asset", _MAPE, "one of " + ", ".join(_MODES)),
-    "rho_grid": Option(str, "-1:1:21", _MAPE, "'lo:hi:count' or comma list"),
-    "alpha_grid": Option(str, "0.5:1.5:21", _MAPE, "'lo:hi:count' or comma list"),
-    "sigma_j_values": Option(str, "0.2,0.4,0.6", ("sigma-sweep",), "comma list of sigma_j values"),
+    "rho_grid": Option(_values, _values("-1:1:21"), _MAPE, "'lo:hi:count' or comma list"),
+    "alpha_grid": Option(_values, _values("0.5:1.5:21"), _MAPE, "'lo:hi:count' or comma list"),
+    "sigma_j_values": Option(_values, _values("0.2,0.4,0.6"), ("sigma-sweep",),
+                             "comma list of sigma_j values"),
     "out": Option(str, None, _ALL, "output file (default: stdout)"),
     "config": Option(str, None, _ALL, "key = value config file"),
 }
@@ -92,98 +132,73 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _parse_values(opts: dict, key: str) -> list[float]:
-    """Parse the value-list option `key`: either 'lo:hi:count' or 'v1,v2,...'."""
-    text = opts[key].strip()
-    with naming(_flag(key)):
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise InvalidParameterError(f"grid must be lo:hi:count, got {text!r}")
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise InvalidParameterError(f"grid count must be >= 1, got {count}")
-            return [float(v) for v in np.linspace(lo, hi, count)]
-        values = [float(v) for v in text.split(",") if v.strip()]
-        if not values:
-            raise InvalidParameterError(f"expected at least one value, got {text!r}")
-        return values
-
-
 def _read_config(path: str) -> dict:
-    """Read a `key = value` config file (lines starting with # ignored),
-    each value converted to its option's type."""
+    """Read a `key = value` config file (lines starting with # ignored) into
+    {key: (text, label)}, the label `{path}:{lineno}: key`. Nothing is
+    converted here; a key that is unknown, `config` or set twice is an error."""
+    with open(path, encoding="utf-8") as fh, naming(path):  # a file that is not UTF-8
+        lines = list(fh)
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in OPTIONS or key == "config":  # config files do not nest
-                raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            with naming(f"{path}:{lineno}: {key}"):
-                values[key] = OPTIONS[key].type(value.strip())
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InvalidParameterError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in OPTIONS or key == "config":  # config files do not nest
+            raise InvalidParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            first = values[key][1].rpartition(":")[0]
+            raise InvalidParameterError(f"{path}:{lineno}: {key}: already set at {first}")
+        values[key] = (value.strip(), f"{path}:{lineno}: {key}")
     return values
 
 
 def _merged_options(args: argparse.Namespace) -> dict:
     """Flag > config file > built-in default, per key. The reader is the
     subcommand or, under `mape`, the mode; it reads the options that list
-    it, except `mu_j` when `alpha`, which sets mu_j, is given. A config file
-    may set any known key, so one file can serve every subcommand; a key
-    that the reader does not read keeps its default and is not validated.
-    Such a flag is a usage error."""
-    flags = {k: v for k, v in vars(args).items() if k in OPTIONS and v is not None}
-    config = _read_config(flags["config"]) if flags.get("config") else {}
+    it, except `mu_j` when `alpha`, which sets mu_j, is given. A read
+    option's text, from its flag or config line, is converted here and only
+    here, and a conversion error names that flag or line. A config file may
+    set any known key, so one file can serve every subcommand; a key that
+    the reader does not read keeps its default and is not converted. Such a
+    flag is a usage error."""
+    flags = {k: (v, _flag(k)) for k, v in vars(args).items() if k in OPTIONS and v is not None}
+    given = {**(_read_config(args.config) if args.config else {}), **flags}  # key: (text, source)
     reader = args.command
     if reader == "mape":
-        reader = flags.get("mode", config.get("mode", OPTIONS["mode"].default))
+        reader = given.get("mode", (OPTIONS["mode"].default,))[0]
         if reader not in _MODES:
             raise InvalidParameterError(f"unknown mape mode {reader!r}")
-    alpha_given = "alpha" in flags or "alpha" in config
     merged = {}
     for name, opt in OPTIONS.items():
-        read = reader in opt.readers and not (name == "mu_j" and alpha_given)
-        if name in flags:
-            if not read:
-                where = f"mape --mode {reader}" if reader in _MODES else f"{reader} with alpha set"
-                raise InvalidParameterError(f"{_flag(name)} is not read by {where}")
-            merged[name] = flags[name]
-        elif read and name in config:
-            merged[name] = config[name]
-        else:
-            merged[name] = opt.default
+        read = reader in opt.readers and not (name == "mu_j" and "alpha" in given)
+        if name in flags and not read:
+            where = f"mape --mode {reader}" if reader in _MODES else f"{reader} with alpha set"
+            raise InvalidParameterError(f"{_flag(name)} is not read by {where}")
+        merged[name] = opt.default
+        if read and name in given:
+            text, source = given[name]
+            with naming(source):
+                merged[name] = opt.type(text)
     return merged
 
 
-def _resolve_threads(value: str) -> int:
-    """'auto' is the CPU count; `mape_asset` and `mape_option` reject a count below 1."""
-    with naming("--threads"):
-        return (os.cpu_count() or 1) if value == "auto" else int(value)
-
-
-def _replications(opts: dict, default: int) -> int:
-    """--n, or `default` only when it is unset: an explicit 0 is an error."""
-    n = default if opts["n"] is None else opts["n"]
-    if n < 1:
-        raise InvalidParameterError(f"--n must be >= 1, got {n}")
-    return n
-
-
 def _build_pair(opts: dict) -> TwinPair:
+    """The pair of the options; alpha, when given, then sets mu_j, as each
+    `mape` grid cell does, so a fault in another input is named as without it."""
     with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
-    mu_j = opts["mu_j"]
-    if opts["alpha"] is not None:
-        with naming("--alpha"):
-            mu_j = alpha_to_mu_j(opts["alpha"], opts["mu_i"], opts["sigma_i"], opts["sigma_j"])
     with naming("asset j"):
-        asset_j = AssetParams(mu=mu_j, sigma=opts["sigma_j"], spot=opts["spot_j"])
-    return TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
+        asset_j = AssetParams(mu=opts["mu_j"], sigma=opts["sigma_j"], spot=opts["spot_j"])
+    pair = TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
+    if opts["alpha"] is not None:
+        mu_j = alpha_to_mu_j(opts["alpha"], asset_i.mu, asset_i.sigma, asset_j.sigma)
+        with naming("asset j"):
+            pair = replace(pair, asset_j=replace(asset_j, mu=mu_j))
+    return pair
 
 
 _SIMULATE_HEADER = ("t", "s_i", "s_j", "s_j_predicted")
@@ -248,7 +263,7 @@ def run_simulate(opts: dict) -> str:
 def run_price(opts: dict) -> str:
     pair = _build_pair(opts)
     spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-    n = _replications(opts, 10000)
+    n = opts["n"] or 10000
 
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     draw = NoiseDraw.sample(substream(opts["seed"], STREAM_PRICE), n)
@@ -272,40 +287,30 @@ def run_price(opts: dict) -> str:
 
 
 def run_mape(opts: dict) -> str:
-    mode = opts["mode"]
+    mode, threads = opts["mode"], opts["threads"]
     pair = _build_pair(opts)
-    threads = _resolve_threads(opts["threads"])
-    n = _replications(opts, _MODES[mode][0])
-    rho_values = _parse_values(opts, "rho_grid")
-    alpha_values = _parse_values(opts, "alpha_grid")
-
-    def grid_at(horizon: float) -> GridSpec:
-        return GridSpec(
-            rho_values=tuple(rho_values),
-            alpha_values=tuple(alpha_values),
-            n_replications=n,
-            horizon=horizon,
-            master_seed=opts["seed"],
-        )
+    grid = GridSpec(rho_values=opts["rho_grid"], alpha_values=opts["alpha_grid"],
+                    n_replications=opts["n"] or _MODES[mode][0], horizon=opts["horizon"],
+                    master_seed=opts["seed"])
 
     if mode == "asset":
-        runs = [(mape_asset(pair, grid_at(opts["horizon"]), threads=threads), ())]
+        runs = [(mape_asset(pair, grid, threads=threads), ())]
     elif mode == "option":
         spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-        runs = [(mape_option(pair, spec, grid_at(spec.maturity), threads=threads), ())]
+        grid = replace(grid, horizon=spec.maturity)
+        runs = [(mape_option(pair, spec, grid, threads=threads), ())]
     elif mode == "sigma-sweep":
-        sigmas = _parse_values(opts, "sigma_j_values")
-        grid = grid_at(opts["horizon"])
+        sigmas = opts["sigma_j_values"]
         # every swept pair is built, and so validated, before any grid runs
         with naming(_flag("sigma_j_values")):
             swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
         runs = [(mape_asset(p, grid, threads=threads), (s,)) for s, p in zip(sigmas, swept)]
     else:  # horizon-compare
-        horizons = (ONE_DAY, ONE_MONTH)
-        runs = [(mape_asset(pair, grid_at(h), threads=threads), (h,)) for h in horizons]
+        runs = [(mape_asset(pair, replace(grid, horizon=h), threads=threads), (h,))
+                for h in (ONE_DAY, ONE_MONTH)]
 
     # one row per (rho, alpha) cell, rho outer, as each grid is laid out
-    cells = np.meshgrid(rho_values, alpha_values, indexing="ij")
+    cells = np.meshgrid(grid.rho_values, grid.alpha_values, indexing="ij")
     rho_column, alpha_column = (values.ravel() for values in cells)
     text = ["rho,alpha,mape,se" + _MODES[mode][1] + "\n"]
     for result, extra in runs:
@@ -316,10 +321,8 @@ def run_mape(opts: dict) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="twinassets",
-        description="Twin-asset Monte Carlo simulation, pricing, and MAPE experiments.",
-    )
+    description = "Twin-asset Monte Carlo simulation, pricing, and MAPE experiments."
+    parser = argparse.ArgumentParser(prog="twinassets", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, readers) in _COMMANDS.items():
         # no prefix matching: `mape --rho` must not be read as --rho-grid
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             reading = [reader for reader in readers if reader in opt.readers]
             if reading:  # any of the subcommand's readers reads it
                 some = f" (modes: {', '.join(reading)})" if len(reading) < len(readers) else ""
-                p_command.add_argument(_flag(key), type=opt.type, help=opt.help + some)
+                p_command.add_argument(_flag(key), help=opt.help + some)
     return parser
 
 

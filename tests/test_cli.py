@@ -74,10 +74,12 @@ NAMED_USAGE_ERRORS = {
         "--sigma-j-values: sigma must be > 0, got -0.1",
     "mape --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "price --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
-    # deriving mu_j from --alpha names the flag since 0.5.7
-    "price --alpha 1 --sigma-j -1": "--alpha: sigma_i and sigma_j must be > 0, got 0.2, -1.0",
-    "price --alpha 0": "--alpha: alpha_target must be > 0, got 0.0",
-    "simulate --mu-i 0 --alpha 1": "--alpha: mu_i must be nonzero",
+    # since 0.5.8 alpha's own converter rejects alpha <= 0, and a fault in
+    # another input is named as it is without alpha
+    "price --alpha 1 --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
+    "price --alpha 0": "--alpha: must be > 0, got 0.0",
+    "simulate --mu-i 0 --alpha 1":
+        "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 0.0, sigma_j = 0.4",
     "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "simulate --spot-i -5": "asset i: spot must be > 0, got -5.0",
     "simulate --spot-j 0": "asset j: spot must be > 0, got 0.0",
@@ -130,6 +132,41 @@ GATE = {
 }
 
 
+# Each option whose text can fail to convert, with a reader that reads it;
+# the text to give it; and the converter's message for that text. An
+# option of `price` or `simulate` is read by a mape mode too only if listed.
+FLOAT = "could not convert string to float: 'x'"
+INT = "invalid literal for int() with base 10: 'x'"
+CONVERSION_ERRORS = [
+    ("mu_i", ("price",), "x", FLOAT),
+    ("mu_j", ("price",), "x", FLOAT),
+    ("sigma_i", ("price",), "x", FLOAT),
+    ("sigma_j", ("simulate",), "x", FLOAT),
+    ("spot_i", ("mape",), "x", FLOAT),
+    ("spot_j", ("price",), "x", FLOAT),
+    ("rho", ("simulate",), "x", FLOAT),
+    ("alpha", ("price",), "x", FLOAT),
+    ("alpha", ("simulate",), "0", "must be > 0, got 0.0"),
+    ("alpha", ("price",), "nan", "must be > 0, got nan"),
+    ("steps", ("simulate",), "x", INT),
+    ("dt", ("simulate",), "x", FLOAT),
+    ("horizon", ("mape", "--mode", "sigma-sweep"), "x", FLOAT),
+    ("n", ("price",), "x", INT),
+    ("n", ("mape",), "0", "must be > 0, got 0"),
+    ("strike", ("mape", "--mode", "option"), "x", FLOAT),
+    ("rate", ("price",), "x", FLOAT),
+    ("maturity", ("price",), "x", FLOAT),
+    ("seed", ("simulate",), "x", INT),
+    ("threads", ("mape",), "x", INT),
+    ("rho_grid", ("mape",), "x", FLOAT),
+    ("rho_grid", ("mape",), "0:1", "grid must be lo:hi:count, got '0:1'"),
+    ("alpha_grid", ("mape", "--mode", "option"), "1,x", FLOAT),
+    ("alpha_grid", ("mape",), "0:1:0", "grid count must be >= 1, got 0"),
+    ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), ",", "expected at least one value, "
+                                                                 "got ','"),
+]
+
+
 def gate_argv(reader, flag, value):
     """argv giving `flag` to `reader`; a mape mode comes last, so it wins
     over a --mode flag under test."""
@@ -157,6 +194,10 @@ def readme_flag_table():
                 rows[name][flag] = re.findall(r"`([\w-]+)`", modes)
     shared = rows.pop("all")
     return {name: {**shared, **flags} for name, flags in rows.items()}
+
+
+def _flag_of(key):
+    return "--" + key.replace("_", "-")
 
 
 def forbid_draws(monkeypatch):
@@ -507,6 +548,24 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"error: validation: {expected}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, command, text, message", [
+        pytest.param(*case, id=f"{case[0]}={case[2]}") for case in CONVERSION_ERRORS])
+    def test_conversion_error_names_its_source(self, key, command, text, message, source,
+                                               tmp_path, capsys, monkeypatch):
+        # one line, as every other usage error, and never argparse's usage dump
+        forbid_draws(monkeypatch)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        if source == "flag":
+            argv, where = [*command, f"{_flag_of(key)}={text}"], _flag_of(key)
+        else:
+            argv, where = [*command, "--config", str(cfg)], f"{cfg}:1: {key}"
+        out = tmp_path / "out.csv"
+        assert exit_code([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: validation: {where}: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["asset", "option", "sigma-sweep", "horizon-compare"])
     def test_threads_checked_before_any_draw(self, mode, tmp_path, capsys, monkeypatch):
         forbid_draws(monkeypatch)
@@ -550,6 +609,25 @@ class TestConfigAndErrors:
         cfg.write_text("bogus = 1\n")
         code, _ = run(tmp_path, "simulate", "--config", str(cfg))
         assert code == 2
+
+    def test_config_key_set_twice_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("mode = option\n# the second mode\nmode = asset\n")
+        code, out = run(tmp_path, "mape", "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: validation: {cfg}:3: mode: already set at {cfg}:1\n")
+        assert not out.exists()
+
+    def test_undecodable_config_names_its_file(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"seed = 3\n\xff\n")
+        code, out = run(tmp_path, "price", "--config", str(cfg))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_config_io_error(self, tmp_path):
         code, _ = run(tmp_path, "simulate", "--config", str(tmp_path / "absent.cfg"))
@@ -606,7 +684,7 @@ class TestFlagsPerSubcommand:
 
     @pytest.mark.parametrize("line, message", [
         ("rho = 2", "rho must lie in [-1, 1], got 2.0"),
-        ("alpha = -1", "--alpha: alpha_target must be > 0, got -1.0"),
+        ("alpha = -1", "{cfg}:1: alpha: must be > 0, got -1.0"),
         ("mu_j = nan", "asset j: mu must be finite, got nan"),
     ])
     def test_config_key_mape_does_not_read_is_not_validated(self, line, message, tmp_path,
@@ -623,7 +701,21 @@ class TestFlagsPerSubcommand:
             assert out.read_bytes() == plain.read_bytes()
         for command in ("simulate", "price"):
             assert run(tmp_path, command, "--config", str(cfg))[0] == 2
-            assert capsys.readouterr().err == f"error: validation: {message}\n"
+            assert capsys.readouterr().err == f"error: validation: {message.format(cfg=cfg)}\n"
+
+    # text that the run would reject, in a key that it does not read
+    @pytest.mark.parametrize("line, argv", [
+        ("n = abc", "simulate --steps 5"),
+        ("steps = 1.5", "price --n 200"),
+        ("horizon = x", "mape --mode option --rho-grid 0 --alpha-grid 1 --n 10"),
+    ])
+    def test_config_key_the_run_does_not_read_is_not_converted(self, line, argv, tmp_path):
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(line + "\n")
+        code, out = run(tmp_path, *argv.split(), "--config", str(cfg), name="config.csv")
+        assert code == 0
+        _, plain = run(tmp_path, *argv.split(), name="plain.csv")
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_flag_checked_against_mode_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "option.cfg"
@@ -638,6 +730,11 @@ class TestFlagsPerSubcommand:
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("")
         value = {"--mode": "asset", "--out": "unused.csv", "--config": str(cfg)}.get(flag, "1")
+        # the merged value is the text converted: an int, a float, a value list, or
+        # the text itself (a mape mode comes last, so it is the merged --mode)
+        converted = {"--out": "unused.csv", "--config": str(cfg), "--steps": 1, "--n": 1,
+                     "--seed": 1, "--threads": 1, "--rho-grid": [1.0], "--alpha-grid": [1.0],
+                     "--sigma-j-values": [1.0]}
         key = flag[2:].replace("-", "_")
         for reader, expected in zip(READERS, GATE[flag]):
             argv = gate_argv(reader, flag, value)
@@ -653,7 +750,9 @@ class TestFlagsPerSubcommand:
                                                      f"{reader}$"):
                     _merged_options(args)
             else:
-                assert _merged_options(args)[key] == getattr(args, key), argv
+                merged = _merged_options(args)[key]
+                expected_value = reader if flag == "--mode" else converted.get(flag, 1.0)
+                assert merged == expected_value and type(merged) is type(expected_value), argv
 
     def test_readme_flag_table_is_the_parser_and_gate(self):
         # each subcommand row lists exactly the flags its parser accepts, and
