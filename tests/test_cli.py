@@ -132,9 +132,8 @@ GATE = {
 }
 
 
-# Each option whose text can fail to convert, with a reader that reads it;
-# the text to give it; and the converter's message for that text. An
-# option of `price` or `simulate` is read by a mape mode too only if listed.
+# Each option whose text can fail to convert: the argv of a reader that
+# reads it, a text that its converter rejects, and the converter's message.
 FLOAT = "could not convert string to float: 'x'"
 INT = "invalid literal for int() with base 10: 'x'"
 CONVERSION_ERRORS = [
@@ -162,8 +161,8 @@ CONVERSION_ERRORS = [
     ("rho_grid", ("mape",), "0:1", "grid must be lo:hi:count, got '0:1'"),
     ("alpha_grid", ("mape", "--mode", "option"), "1,x", FLOAT),
     ("alpha_grid", ("mape",), "0:1:0", "grid count must be >= 1, got 0"),
-    ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), ",", "expected at least one value, "
-                                                                 "got ','"),
+    ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), ",",
+     "expected at least one value, got ','"),
 ]
 
 
