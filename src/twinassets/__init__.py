@@ -9,7 +9,7 @@ gc.disable()
 try:
     from .engine import AssetParams, NoiseDraw, PathPair, TwinPair, simulate_paths
     from .errors import InvalidParameterError, NumericalError, TwinAssetsError
-    from .harness import GridSpec, MapeGrid, alpha_to_mu_j, mape_asset, mape_option
+    from .harness import GridSpec, MapeGrid, mape_asset, mape_option
     from .pricing import OptionSpec, bs_call, normal_cdf, twin_call
     from .twin import alpha, deterministic_term, predict_twin, stochastic_term
 finally:
@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.5.8"
+__version__ = "0.6.0"
 
 __all__ = [
     "AssetParams",
@@ -31,7 +31,6 @@ __all__ = [
     "TwinAssetsError",
     "TwinPair",
     "alpha",
-    "alpha_to_mu_j",
     "bs_call",
     "deterministic_term",
     "mape_asset",

@@ -21,9 +21,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .engine import AssetParams, NoiseDraw, TwinPair, simulate_paths
+from .engine import AssetParams, NoiseDraw, TwinPair, _check_rho, _check_sigma, simulate_paths
 from .errors import InvalidParameterError, NumericalError, naming
-from .harness import GridSpec, _mean_std, alpha_to_mu_j, mape_asset, mape_option
+from .harness import GridSpec, _check_alpha, _mean_std, mape_asset, mape_option
 from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_DRAWS, STREAM_PRICE, substream
 from .twin import alpha, predict_twin, stochastic_term
@@ -67,6 +67,11 @@ def _values(text: str) -> list[float]:
     return values
 
 
+def _each(check: Callable[[float], float]) -> Callable[[str], list[float]]:
+    """`_values`, each value then returned by `check` or rejected."""
+    return lambda text: [check(value) for value in _values(text)]
+
+
 def _threads(text: str) -> int:
     """'auto' is the CPU count; `mape_asset` and `mape_option` reject a count below 1."""
     return (os.cpu_count() or 1) if text == "auto" else int(text)
@@ -91,20 +96,21 @@ _COMMANDS = {  # each subcommand's help line and readers
     "price": ("price a call on asset j via its twin", ("price",)),
     "mape": ("run a MAPE grid experiment", _MAPE),
 }
-_PAIR = ("simulate", "price")  # mape sets mu_j and rho per grid cell
+_PAIR = ("simulate", "price")  # a mape cell takes its rho and alpha from the grids
 _ALL = (*_PAIR, *_MAPE)
+_PRICED = (*_PAIR, "option")  # an asset cell reads sigma_j alone of the assets
 
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
 # drifts give alpha = 1 exactly, and it is configurable everywhere.
 OPTIONS = {
-    "mu_i": Option(float, 0.4, _ALL, "drift of asset i (the traded twin)"),
+    "mu_i": Option(float, 0.4, _PAIR, "drift of asset i (the traded twin)"),
     "mu_j": Option(float, 0.8, _PAIR, "drift of asset j"),
-    "sigma_i": Option(float, 0.2, _ALL, "volatility of asset i"),
+    "sigma_i": Option(float, 0.2, _PRICED, "volatility of asset i"),
     "sigma_j": Option(float, 0.4, (*_PAIR, "asset", "option", "horizon-compare"),
                       "volatility of asset j"),
-    "spot_i": Option(float, 80.0, _ALL, "spot price of asset i"),
-    "spot_j": Option(float, 90.0, _ALL, "spot price of asset j"),
+    "spot_i": Option(float, 80.0, _PRICED, "spot price of asset i"),
+    "spot_j": Option(float, 90.0, _PRICED, "spot price of asset j"),
     "rho": Option(float, 1.0, _PAIR, "return correlation"),
     "alpha": Option(_positive(float), None, _PAIR,
                     "set similarity ratio directly (in place of --mu-j)"),
@@ -119,9 +125,10 @@ OPTIONS = {
     "seed": Option(int, 12345, _ALL, "master seed"),
     "threads": Option(_threads, 1, _MAPE, "worker threads or 'auto'"),
     "mode": Option(str, "asset", _MAPE, "one of " + ", ".join(_MODES)),
-    "rho_grid": Option(_values, _values("-1:1:21"), _MAPE, "'lo:hi:count' or comma list"),
-    "alpha_grid": Option(_values, _values("0.5:1.5:21"), _MAPE, "'lo:hi:count' or comma list"),
-    "sigma_j_values": Option(_values, _values("0.2,0.4,0.6"), ("sigma-sweep",),
+    "rho_grid": Option(_each(_check_rho), _values("-1:1:21"), _MAPE, "'lo:hi:count' or comma list"),
+    "alpha_grid": Option(_each(_check_alpha), _values("0.5:1.5:21"), _MAPE,
+                         "'lo:hi:count' or comma list"),
+    "sigma_j_values": Option(_each(_check_sigma), _values("0.2,0.4,0.6"), ("sigma-sweep",),
                              "comma list of sigma_j values"),
     "out": Option(str, None, _ALL, "output file (default: stdout)"),
     "config": Option(str, None, _ALL, "key = value config file"),
@@ -187,15 +194,16 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _build_pair(opts: dict) -> TwinPair:
-    """The pair of the options; alpha, when given, then sets mu_j, as each
-    `mape` grid cell does, so a fault in another input is named as without it."""
+    """The pair of the options, with the defaults of those a `mape` mode does
+    not read; alpha, when given, then sets mu_j, so other faults are named as without it."""
     with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     with naming("asset j"):
         asset_j = AssetParams(mu=opts["mu_j"], sigma=opts["sigma_j"], spot=opts["spot_j"])
     pair = TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
     if opts["alpha"] is not None:
-        mu_j = alpha_to_mu_j(opts["alpha"], asset_i.mu, asset_i.sigma, asset_j.sigma)
+        # alpha = sigma_i*mu_j/(sigma_j*mu_i) solved for mu_j
+        mu_j = opts["alpha"] * asset_j.sigma * asset_i.mu / asset_i.sigma
         with naming("asset j"):
             pair = replace(pair, asset_j=replace(asset_j, mu=mu_j))
     return pair
@@ -229,6 +237,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def run_simulate(opts: dict) -> str:
     pair = _build_pair(opts)
+    a = alpha(pair)
     steps, dt = opts["steps"], opts["dt"]
     paths = simulate_paths(pair, steps, dt, opts["seed"])
 
@@ -240,10 +249,10 @@ def run_simulate(opts: dict) -> str:
     w_y = np.cumsum(np.sqrt(dt) * draw.z_y)
     del draw  # not held through the output text, the run's peak
     # the walks already carry the sqrt(t) scaling, so B takes tau = 1
-    log_b = stochastic_term(pair, 1.0, w_x, w_y)
+    log_b = stochastic_term(pair, a, 1.0, w_x, w_y)
     predicted = np.empty(steps + 1)
     predicted[0] = pair.asset_j.spot
-    predicted[1:] = predict_twin(pair, paths.times[1:], paths.path_i[1:], log_b)
+    predicted[1:] = predict_twin(pair, a, paths.times[1:], paths.path_i[1:], log_b)
 
     columns = (paths.times, paths.path_i, paths.path_j, predicted)
     table = np.column_stack(columns)
@@ -255,24 +264,25 @@ def run_simulate(opts: dict) -> str:
         name = _SIMULATE_HEADER[c]
         raise NumericalError(
             f"non-finite or non-positive {name} at step {k}, t={_fmt(paths.times[k])}: "
-            f"{name}={table[k, c]} (alpha = {alpha(pair)!r})"
+            f"{name}={table[k, c]} (alpha = {a!r})"
         )
     return "".join([",".join(_SIMULATE_HEADER) + "\n", *_rows(*columns)])
 
 
 def run_price(opts: dict) -> str:
     pair = _build_pair(opts)
+    a = alpha(pair)
     spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
     n = opts["n"] or 10000
 
     bs_price = bs_call(pair.asset_j.spot, spec, pair.asset_j.sigma)
     draw = NoiseDraw.sample(substream(opts["seed"], STREAM_PRICE), n)
-    log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
-    mean, std = _mean_std(twin_call(pair, spec, log_b))
+    log_b = stochastic_term(pair, a, spec.maturity, draw.z_x, draw.z_y)
+    mean, std = _mean_std(twin_call(pair, a, spec, log_b))
     mean, se = float(mean), float(std / np.sqrt(n))
     if not (np.isfinite(mean) and np.isfinite(se)):
         raise NumericalError(
-            f"non-finite twin price at alpha = {alpha(pair)!r}, rho = {pair.rho!r}: "
+            f"non-finite twin price at alpha = {a!r}, rho = {pair.rho!r}: "
             f"mean={mean}, se={se}"
         )
 
@@ -301,9 +311,8 @@ def run_mape(opts: dict) -> str:
         runs = [(mape_option(pair, spec, grid, threads=threads), ())]
     elif mode == "sigma-sweep":
         sigmas = opts["sigma_j_values"]
-        # every swept pair is built, and so validated, before any grid runs
-        with naming(_flag("sigma_j_values")):
-            swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
+        # every swept pair is built, and so checked, before any grid runs
+        swept = [replace(pair, asset_j=replace(pair.asset_j, sigma=s)) for s in sigmas]
         runs = [(mape_asset(p, grid, threads=threads), (s,)) for s, p in zip(sigmas, swept)]
     else:  # horizon-compare
         runs = [(mape_asset(pair, replace(grid, horizon=h), threads=threads), (h,))

@@ -19,6 +19,25 @@ from .errors import InvalidParameterError
 from .seeding import STREAM_PATHS, substream
 
 
+def _check_sigma(sigma: float) -> float:
+    """sigma, if finite and > 0 with sigma**2 finite (`AssetParams`, a swept sigma_j)."""
+    if not math.isfinite(sigma):
+        raise InvalidParameterError(f"sigma must be finite, got {sigma}")
+    if not sigma > 0:
+        raise InvalidParameterError(f"sigma must be > 0, got {sigma}")
+    # sigma**2 of a Python float raises OverflowError where sigma*sigma is inf
+    if not math.isfinite(sigma * sigma):
+        raise InvalidParameterError(f"sigma**2 must be finite, got sigma = {sigma}")
+    return sigma
+
+
+def _check_rho(rho: float) -> float:
+    """rho, if in [-1, 1] (`TwinPair`, the grids)."""
+    if not -1.0 <= rho <= 1.0:
+        raise InvalidParameterError(f"rho must lie in [-1, 1], got {rho}")
+    return rho
+
+
 @dataclass(frozen=True)
 class AssetParams:
     """One lognormal asset: drift mu (per year), volatility sigma
@@ -33,11 +52,7 @@ class AssetParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidParameterError(f"{name} must be finite, got {value}")
-        if not self.sigma > 0:
-            raise InvalidParameterError(f"sigma must be > 0, got {self.sigma}")
-        # sigma**2 of a Python float raises OverflowError where sigma*sigma is inf
-        if not math.isfinite(self.sigma * self.sigma):
-            raise InvalidParameterError(f"sigma**2 must be finite, got sigma = {self.sigma}")
+        _check_sigma(self.sigma)
         if not self.spot > 0:
             raise InvalidParameterError(f"spot must be > 0, got {self.spot}")
 
@@ -47,8 +62,8 @@ class TwinPair:
     """Two assets plus the correlation rho of their returns.
 
     Asset i is the proxy (traded) asset, asset j the target. sigma_j times
-    the drift of asset i, the similarity ratio alpha's denominator, must be
-    nonzero (a subnormal drift can round it to 0).
+    the drift of asset i, the denominator of `twin.alpha`, must be nonzero
+    (a subnormal drift can round it to 0).
     """
 
     asset_i: AssetParams
@@ -56,8 +71,7 @@ class TwinPair:
     rho: float
 
     def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise InvalidParameterError(f"rho must lie in [-1, 1], got {self.rho}")
+        _check_rho(self.rho)
         if self.asset_j.sigma * self.asset_i.mu == 0:
             raise InvalidParameterError(f"alpha is undefined: sigma_j*mu_i = 0 at mu_i = "
                                         f"{self.asset_i.mu}, sigma_j = {self.asset_j.sigma}")

@@ -1,10 +1,11 @@
 """MAPE grid experiments over (rho, alpha).
 
-For every grid cell the target drift mu_j is set so the pair's similarity
-ratio equals the cell's alpha (the baseline parameters are perturbed
-through mu_j only). Asset experiments compare the twin prediction of the
-simulated terminal value against the truth; option experiments compare
-per-replication twin call prices against a fixed Black-Scholes benchmark.
+Every cell takes its (rho, alpha) as given: the cells of a rho row share
+one pair, the base with that rho, and each passes its own alpha label to
+the twin relation as it is. No drift is read. Asset experiments compare
+the twin prediction of the simulated terminal value against the truth;
+option experiments compare per-replication twin call prices against a
+fixed Black-Scholes benchmark.
 
 Both compare through log B, the stochastic term of the twin relation.
 Every cell of a grid reads the same two-normal draw of n replications,
@@ -32,11 +33,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import NoiseDraw, TwinPair
-from .errors import InvalidParameterError, NumericalError, naming
-from .pricing import OptionSpec, _priced_alpha, bs_call, twin_call
+from .engine import NoiseDraw, TwinPair, _check_rho
+from .errors import InvalidParameterError, NumericalError
+from .pricing import OptionSpec, bs_call, twin_call
 from .seeding import STREAM_ASSET_MAPE, STREAM_OPTION_MAPE, substream
 from .twin import stochastic_term
+
+
+def _check_alpha(alpha: float) -> float:
+    """alpha, if finite and > 0 (the grids)."""
+    if not 0 < alpha < math.inf:
+        raise InvalidParameterError(f"alpha must be finite and > 0, got {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,10 @@ class GridSpec:
         object.__setattr__(self, "alpha_values", tuple(float(a) for a in self.alpha_values))
         if not (self.rho_values and self.alpha_values):
             raise InvalidParameterError("rho_values and alpha_values must not be empty")
-        if any(not -1.0 <= r <= 1.0 for r in self.rho_values):
-            raise InvalidParameterError("all rho values must lie in [-1, 1]")
-        if any(not 0 < a < math.inf for a in self.alpha_values):
-            raise InvalidParameterError("all alpha values must be finite and > 0")
+        for rho in self.rho_values:
+            _check_rho(rho)
+        for alpha in self.alpha_values:
+            _check_alpha(alpha)
         if self.n_replications < 1:
             raise InvalidParameterError("n_replications must be >= 1")
         if not 0 < self.horizon < math.inf:
@@ -73,33 +81,6 @@ class MapeGrid:
 
     grid: np.ndarray
     standard_errors: np.ndarray
-
-
-def alpha_to_mu_j(alpha_target: float, mu_i: float, sigma_i: float, sigma_j: float) -> float:
-    """Drift mu_j that makes the pair's similarity ratio equal alpha_target."""
-    if sigma_i <= 0 or sigma_j <= 0:
-        raise InvalidParameterError(f"sigma_i and sigma_j must be > 0, got {sigma_i}, {sigma_j}")
-    if mu_i == 0:
-        raise InvalidParameterError("mu_i must be nonzero")
-    if alpha_target <= 0:
-        raise InvalidParameterError(f"alpha_target must be > 0, got {alpha_target}")
-    return alpha_target * sigma_j * mu_i / sigma_i
-
-
-def _cell_pairs(base: TwinPair, grid: GridSpec, check=lambda pair: None) -> list:
-    """Every cell's pair, indexed [rho_index][alpha_index]: base with mu_j
-    set so that the pair's alpha is the cell's. The grids build them before
-    they draw, so the first cell in grid order whose asset j is invalid (its
-    mu_j overflows) or whose pair `check` rejects fails first, named."""
-
-    def pair_at(rho: float, alpha_value: float) -> TwinPair:
-        mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, base.asset_j.sigma)
-        with naming(f"cell rho={rho!r}, alpha={alpha_value!r}: asset j"):
-            pair = TwinPair(base.asset_i, replace(base.asset_j, mu=mu_j), rho)
-            check(pair)
-        return pair
-
-    return [[pair_at(rho, a) for a in grid.alpha_values] for rho in grid.rho_values]
 
 
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
@@ -201,10 +182,11 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     noises (z_j, z_tilde), the prediction S'_j from S_i and fresh noises.
     log(S'_j / S_j) is log B at the differences of the two, which are
     independent N(0, 2) (see `twin.stochastic_term`), so the relative error
-    is |expm1| of it and a cell needs no simulated pair.
+    is |expm1| of it and a cell needs no simulated pair. Of base, only
+    sigma_j is read.
     """
     _check_threads(threads)
-    pairs = _cell_pairs(base, grid)
+    pairs = [replace(base, rho=rho) for rho in grid.rho_values]  # one per rho row
     # kappa(2*tau) = sqrt(2)*kappa(tau), so log B over 2*tau at unit normals
     # has the law of log B over tau at the N(0, 2) differences
     horizon = 2 * grid.horizon
@@ -212,7 +194,7 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     z_x, z_y = draw.z_x, draw.z_y
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
-        ape = stochastic_term(pairs[l][m], horizon, z_x, z_y, out=scratch)
+        ape = stochastic_term(pairs[l], grid.alpha_values[m], horizon, z_x, z_y, out=scratch)
         np.expm1(ape, out=ape)
         np.abs(ape, out=ape)
         return _mean_std(ape)
@@ -227,8 +209,8 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     computed once; only the twin estimate varies per replication, through
     log B over the option maturity. So the grid horizon is not read; the
     CLI builds the option grid at `spec.maturity`. A benchmark that is not
-    finite and > 0 leaves every APE undefined, and fails before the draw, as
-    does a cell whose alpha rounds to 0.
+    finite and > 0 leaves every APE undefined, and fails before the draw.
+    Of base, sigma_i, sigma_j and both spots are read.
 
     The draw is permuted once into the locality order (see the module
     docstring), which keeps neighbours close in the (z_x, z_y) plane and
@@ -247,8 +229,7 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
             f"spot_j={asset_j.spot!r}, sigma_j={asset_j.sigma!r}, strike={spec.strike!r}, "
             f"maturity={spec.maturity!r}, rate={spec.rate!r}"
         )
-    # a cell whose mu_j rounds to 0 has alpha 0, which twin_call rejects
-    pairs = _cell_pairs(base, grid, check=_priced_alpha)
+    pairs = [replace(base, rho=rho) for rho in grid.rho_values]  # one per rho row
     draw = NoiseDraw.sample(substream(grid.master_seed, STREAM_OPTION_MAPE), grid.n_replications)
     order = _locality_order(draw.z_x, draw.z_y)
     z_x, z_y = draw.z_x[order], draw.z_y[order]
@@ -257,9 +238,10 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int =
     del draw, order
 
     def cell(l: int, m: int, scratch: np.ndarray) -> tuple[float, float]:
-        pair = pairs[l][m]
+        pair, alpha = pairs[l], grid.alpha_values[m]
         # |c' - c| / c in the fresh price array, in the evaluation order
-        ape = twin_call(pair, spec, stochastic_term(pair, spec.maturity, z_x, z_y, out=scratch))
+        log_b = stochastic_term(pair, alpha, spec.maturity, z_x, z_y, out=scratch)
+        ape = twin_call(pair, alpha, spec, log_b)
         np.subtract(ape, benchmark, out=ape)
         np.abs(ape, out=ape)
         np.divide(ape, benchmark, out=ape)

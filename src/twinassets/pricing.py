@@ -30,7 +30,7 @@ from scipy.stats import norm  # noqa: F401 -- kept for bench/run.py and bench/sp
 
 from .engine import AssetParams, TwinPair
 from .errors import InvalidParameterError
-from .twin import alpha, deterministic_term, twin_exponent
+from .twin import deterministic_term, twin_exponent
 
 
 @dataclass(frozen=True)
@@ -63,25 +63,16 @@ def normal_cdf(x):
 
 def bs_call(spot: float, spec: OptionSpec, sigma: float) -> float:
     """Black-Scholes price of a European call on a scalar spot: `twin_call`
-    at identical twins. alpha = sigma*mu/(sigma*mu) is exactly 1 at any
-    nonzero drift mu with sigma*mu in range, as mu = 1 keeps it; so e = 1,
-    log A = 0, and at log B = 0 the forward is S: g2, g1 are d2, d1 op for op.
-    """
+    at identical twins and alpha = 1 (`twin.alpha` of equal assets, exactly),
+    so e = 1, log A = 0, and at log B = 0 the forward is S: g2, g1 are d2, d1
+    op for op. The drift, which twin_call does not read, is 1."""
     asset = AssetParams(mu=1.0, sigma=sigma, spot=spot)
-    return twin_call(TwinPair(asset, asset, rho=1.0), spec, 0.0)
+    return twin_call(TwinPair(asset, asset, rho=1.0), 1.0, spec, 0.0)
 
 
-def _priced_alpha(pair: TwinPair) -> float:
-    """The pair's alpha, which the twin price requires to be > 0."""
-    a = alpha(pair)
-    if a <= 0:
-        raise InvalidParameterError(f"twin pricing requires alpha > 0, got alpha = {a}")
-    return a
-
-
-def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
-    """Closed-form twin call price conditional on the stochastic term log B
-    over the maturity (a scalar, or an array of one per replication).
+def twin_call(pair: TwinPair, alpha: float, spec: OptionSpec, log_b):
+    """Closed-form twin call price at alpha > 0, conditional on the stochastic
+    term log B over the maturity (a scalar, or an array of one per replication).
 
     c ~ F*N(g1) - K*exp(-r*tau)*N(g2),   e = alpha*sigma_j/sigma_i,
     F = S_i*exp(log(A*B) + (e-1)*(log S_i + (r + alpha*sigma_j*sigma_i/2)*tau)),
@@ -94,20 +85,22 @@ def twin_call(pair: TwinPair, spec: OptionSpec, log_b):
     `bs_call`. Tiny negative closed-form values from cancellation are
     clipped to 0.
     """
-    a = _priced_alpha(pair)
+    if alpha <= 0:
+        raise InvalidParameterError(f"twin pricing requires alpha > 0, got alpha = {alpha}")
     tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    log_ab = deterministic_term(pair, tau) + log_b
+    log_ab = deterministic_term(pair, alpha, tau) + log_b
     log_spot = np.log(pair.asset_i.spot)
-    growth = (twin_exponent(pair) - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
+    e = twin_exponent(pair, alpha)
+    growth = (e - 1.0) * (log_spot + (rate + 0.5 * alpha * sig_j * sig_i) * tau)
     forward = pair.asset_i.spot * np.exp(log_ab + growth)
     # ln(S_i / K_i^(1/e)) with the transformed strike K_i = K/(A*B), over vol
-    g2 = (log_spot - sig_i / (a * sig_j) * (np.log(spec.strike) - log_ab)
+    g2 = (log_spot - sig_i / (alpha * sig_j) * (np.log(spec.strike) - log_ab)
           + (rate - 0.5 * sig_i**2) * tau) / (sig_i * np.sqrt(tau))
     # each array is dropped once dead and the terms are combined in place
     # (a product commutes bit for bit), so at most four are alive at once
     del log_ab
-    price = normal_cdf(g2 + a * sig_j * np.sqrt(tau))  # N(g1)
+    price = normal_cdf(g2 + alpha * sig_j * np.sqrt(tau))  # N(g1)
     price *= forward
     del forward
     price -= spec.strike * np.exp(-rate * tau) * normal_cdf(g2)

@@ -8,7 +8,9 @@ independent noises. The relation is evaluated only in log space, as
 log A + log B + e*log S_i with e = alpha*sigma_j/sigma_i, so S_i^e never
 has to be representable on its own: `deterministic_term` and
 `stochastic_term` return log A and log B (the one log-B formula, which
-every caller uses), and `predict_twin` exponentiates the sum. With the
+every caller uses), and `predict_twin` exponentiates the sum. Each term
+takes alpha as given and reads no drift: a MAPE cell passes its alpha
+label, `simulate` and `price` the `alpha(pair)` of their drifts. With the
 fresh noises replaced by the pair's own driving noises the relation is
 an exact identity; the residual oracle that checks it lives with the
 tests (`tests/conftest.py`).
@@ -32,12 +34,12 @@ def alpha(pair: TwinPair) -> float:
     return pair.asset_i.sigma * pair.asset_j.mu / (pair.asset_j.sigma * pair.asset_i.mu)
 
 
-def twin_exponent(pair: TwinPair) -> float:
+def twin_exponent(pair: TwinPair, alpha: float) -> float:
     """Power alpha*sigma_j/sigma_i applied to S_i in the approximation."""
-    return alpha(pair) * pair.asset_j.sigma / pair.asset_i.sigma
+    return alpha * pair.asset_j.sigma / pair.asset_i.sigma
 
 
-def deterministic_term(pair: TwinPair, tau):
+def deterministic_term(pair: TwinPair, alpha: float, tau):
     """log A = log spot_j - e*log spot_i + sigma_j*(alpha*sigma_i - sigma_j)*tau/2.
 
     tau may be a scalar or an array of horizons. Exactly 0 for identical
@@ -48,12 +50,12 @@ def deterministic_term(pair: TwinPair, tau):
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     return (
         np.log(pair.asset_j.spot)
-        - twin_exponent(pair) * np.log(pair.asset_i.spot)
-        + 0.5 * sig_j * (alpha(pair) * sig_i - sig_j) * tau
+        - twin_exponent(pair, alpha) * np.log(pair.asset_i.spot)
+        + 0.5 * sig_j * (alpha * sig_i - sig_j) * tau
     )
 
 
-def stochastic_coefficients(pair: TwinPair, tau: float) -> tuple[float, float]:
+def stochastic_coefficients(pair: TwinPair, alpha: float, tau: float) -> tuple[float, float]:
     """(kappa_x, kappa_y) of log B = kappa_x*z_x - kappa_y*z_y:
     sigma_j*sqrt(tau)*(1 - rho*alpha) and sigma_j*sqrt(tau)*alpha*sqrt(1-rho^2).
 
@@ -62,12 +64,11 @@ def stochastic_coefficients(pair: TwinPair, tau: float) -> tuple[float, float]:
     """
     if not tau > 0:
         raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    a = alpha(pair)
     scale = pair.asset_j.sigma * math.sqrt(tau)
-    return scale * (1.0 - pair.rho * a), scale * a * math.sqrt(1.0 - pair.rho**2)
+    return scale * (1.0 - pair.rho * alpha), scale * alpha * math.sqrt(1.0 - pair.rho**2)
 
 
-def stochastic_term(pair: TwinPair, tau: float, z_x, z_y, out=None):
+def stochastic_term(pair: TwinPair, alpha: float, tau: float, z_x, z_y, out=None):
     """log B = sigma_j*sqrt(tau) * ((1 - rho*alpha)*z_x - alpha*sqrt(1-rho^2)*z_y).
 
     z_x and z_y are unit normals (scalars or arrays), so the Wiener
@@ -79,15 +80,16 @@ def stochastic_term(pair: TwinPair, tau: float, z_x, z_y, out=None):
     operations, so the same bits, and returned; out[1] is overwritten.
     Scalar noises give an np.float64.
     """
-    kappa_x, kappa_y = stochastic_coefficients(pair, tau)
+    kappa_x, kappa_y = stochastic_coefficients(pair, alpha, tau)
     x, y = (None, None) if out is None else out
     return np.subtract(np.multiply(kappa_x, z_x, out=x), np.multiply(kappa_y, z_y, out=y), out=x)
 
 
-def predict_twin(pair: TwinPair, tau, s_i, log_b):
+def predict_twin(pair: TwinPair, alpha: float, tau, s_i, log_b):
     """Predicted S_j after horizon tau: exp(log A + log B + e*log S_i).
 
     log_b is the stochastic term log B of one draw (or an array of
     draws); tau and s_i may be scalars or arrays broadcasting against it.
     """
-    return np.exp(deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i))
+    return np.exp(deterministic_term(pair, alpha, tau) + log_b
+                  + twin_exponent(pair, alpha) * np.log(s_i))

@@ -98,18 +98,19 @@ def terminal_pair(pair, tau, z_j, z_tilde):
     return s_i, s_j
 
 
-def unreduced_ape(pair, tau, z):
+def unreduced_ape(pair, alpha_value, tau, z):
     """|S'_j - S_j| / S_j per replication of the four-normal draw
     z = (z_j, z_tilde, z_x, z_y): the truth simulated by `terminal_pair`
-    from (z_j, z_tilde), the prediction `predict_twin` makes from its S_i
-    with the fresh noises (z_x, z_y)."""
+    from (z_j, z_tilde), the prediction `predict_twin` makes at alpha_value
+    from its S_i with the fresh noises (z_x, z_y). The drifts cancel from
+    the error when alpha_value is the pair's alpha (up to its rounding)."""
     z_j, z_tilde, z_x, z_y = z
     s_i, s_j = terminal_pair(pair, tau, z_j, z_tilde)
-    log_b = stochastic_term(pair, tau, z_x, z_y)
-    return np.abs(predict_twin(pair, tau, s_i, log_b) - s_j) / s_j
+    log_b = stochastic_term(pair, alpha_value, tau, z_x, z_y)
+    return np.abs(predict_twin(pair, alpha_value, tau, s_i, log_b) - s_j) / s_j
 
 
-def twin_call_quadrature(pair, spec, log_b) -> float:
+def twin_call_quadrature(pair, alpha_value, spec, log_b) -> float:
     """Twin call price at one scalar log B via adaptive quadrature of the
     risk-neutral integral:
 
@@ -121,15 +122,14 @@ def twin_call_quadrature(pair, spec, log_b) -> float:
     Oracle for `twin_call`, agreeing to 1e-6 relative: log(A*B) and g2 are
     formed here from log A and log_b, not by `twin_call`'s code.
     """
-    a = alpha(pair)
-    if a <= 0:
+    if alpha_value <= 0:
         raise InvalidParameterError(
-            f"twin pricing requires alpha > 0, got alpha = {a}"
+            f"twin pricing requires alpha > 0, got alpha = {alpha_value}"
         )
     tau = spec.maturity
     sig_i = pair.asset_i.sigma
-    expo = twin_exponent(pair)
-    log_ab = deterministic_term(pair, tau) + log_b
+    expo = twin_exponent(pair, alpha_value)
+    log_ab = deterministic_term(pair, alpha_value, tau) + log_b
     # ln S_i at maturity is normal with this mean and standard deviation
     log_mean = math.log(pair.asset_i.spot) + (spec.rate - 0.5 * sig_i**2) * tau
     vol = sig_i * math.sqrt(tau)
@@ -181,8 +181,9 @@ def exact_relation_residual(pair, tau, z_j, z_tilde):
                 pair, tau, s_i, dec(z_j) * root_tau, dec(z_tilde) * root_tau
             )
             return abs(float((sum(terms) - dec(s_j).ln()).exp() - 1))
-    log_b = stochastic_term(pair, tau, z_j, z_tilde)
-    log_prediction = deterministic_term(pair, tau) + log_b + twin_exponent(pair) * np.log(s_i)
+    a = alpha(pair)
+    log_b = stochastic_term(pair, a, tau, z_j, z_tilde)
+    log_prediction = deterministic_term(pair, a, tau) + log_b + twin_exponent(pair, a) * np.log(s_i)
     return np.abs(np.expm1(log_prediction - np.log(s_j)))
 
 

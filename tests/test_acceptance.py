@@ -238,9 +238,10 @@ def test_criterion_7_pricing_oracle_equivalence():
         spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                           rate=rng.uniform(0.0, 0.1))
         draw = NoiseDraw(*rng.standard_normal(2))
-        log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
-        closed = float(twin_call(pair, spec, log_b))
-        quadrature = twin_call_quadrature(pair, spec, log_b)
+        a = alpha(pair)
+        log_b = stochastic_term(pair, a, spec.maturity, draw.z_x, draw.z_y)
+        closed = float(twin_call(pair, a, spec, log_b))
+        quadrature = twin_call_quadrature(pair, a, spec, log_b)
         # deep-OTM prices underflow to 0 on both routes; scale guards 0/0
         worst = max(worst, abs(closed - quadrature) / max(closed, quadrature, 1e-10))
         count += 1
@@ -258,8 +259,9 @@ def test_criterion_8_identical_twin_reduction():
         spec = OptionSpec(strike=rng.uniform(20, 200), maturity=rng.uniform(0.05, 2.0),
                           rate=rng.uniform(0.0, 0.1))
         draw = NoiseDraw(*rng.standard_normal(2))
-        log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
-        twin = float(twin_call(pair, spec, log_b))
+        # alpha of two equal assets is 1 bit for bit
+        log_b = stochastic_term(pair, 1.0, spec.maturity, draw.z_x, draw.z_y)
+        twin = float(twin_call(pair, 1.0, spec, log_b))
         reference = bs_call(params.spot, spec, params.sigma)
         worst = max(worst, abs(twin - reference) / reference)
     report(8, "identical-twin twin_call equals bs_call within 1e-12 on 50 specs",

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import decimal_predict_twin, decimal_twin_call
 from twinassets import (
@@ -13,11 +15,11 @@ from twinassets import (
     NoiseDraw,
     OptionSpec,
     TwinPair,
-    alpha_to_mu_j,
+    alpha,
     stochastic_term,
     twin_call,
 )
-from twinassets.cli import _fmt, _merged_options, _rows, build_parser, main
+from twinassets.cli import _build_pair, _fmt, _merged_options, _rows, build_parser, main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -37,11 +39,12 @@ def exit_code(argv):
         return exc.code
 
 
-def default_pair(alpha, sigma_j=0.4, rho=1.0):
-    """The pair the CLI builds from its defaults and --alpha."""
+def default_pair(alpha_value, sigma_j=0.4, rho=1.0):
+    """The pair the CLI builds from its defaults and --alpha: mu_j is
+    alpha*sigma_j*mu_i/sigma_i, in that operation order."""
     return TwinPair(
         asset_i=AssetParams(mu=0.4, sigma=0.2, spot=80.0),
-        asset_j=AssetParams(mu=alpha_to_mu_j(alpha, 0.4, 0.2, sigma_j), sigma=sigma_j, spot=90.0),
+        asset_j=AssetParams(mu=alpha_value * sigma_j * 0.4 / 0.2, sigma=sigma_j, spot=90.0),
         rho=rho,
     )
 
@@ -55,8 +58,8 @@ EPS = np.finfo(float).eps
 
 # argv: the diagnostic of its nan or inf input, which exits 2 before any work
 NON_FINITE_INPUTS = {
-    "mape --rho-grid 0 --alpha-grid nan": "all alpha values must be finite and > 0",
-    "mape --rho-grid 0 --alpha-grid inf": "all alpha values must be finite and > 0",
+    "mape --rho-grid 0 --alpha-grid nan": "--alpha-grid: alpha must be finite and > 0, got nan",
+    "mape --rho-grid 0 --alpha-grid inf": "--alpha-grid: alpha must be finite and > 0, got inf",
     "price --strike inf": "strike must be finite, got inf",
     "price --rate nan": "rate must be finite, got nan",
     "price --mu-i nan": "asset i: mu must be finite, got nan",
@@ -87,15 +90,6 @@ NAMED_USAGE_ERRORS = {
     "price --sigma-j 1e155": "asset j: sigma**2 must be finite, got sigma = 1e+155",
     "simulate --mu-i 5e-324":
         "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 5e-324, sigma_j = 0.4",
-    # a grid cell's mu_j overflows, or rounds to 0 so that its alpha is 0 (which
-    # only the twin price rejects): named, before the draw, since 0.5.2
-    "mape --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2":
-        "cell rho=0.0, alpha=1.0: asset j: mu must be finite, got inf",
-    "mape --mode option --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2":
-        "cell rho=0.0, alpha=1.0: asset j: mu must be finite, got inf",
-    "mape --mode option --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
-    "--alpha-grid 1e-10,1 --n 2":
-        "cell rho=0.0, alpha=1e-10: asset j: twin pricing requires alpha > 0, got alpha = 0.0",
 }
 
 
@@ -106,12 +100,12 @@ NAMED_USAGE_ERRORS = {
 READERS = ("simulate", "price", "asset", "option", "sigma-sweep", "horizon-compare")
 SUBCOMMAND_READERS = {"simulate": READERS[:1], "price": READERS[1:2], "mape": READERS[2:]}
 GATE = {
-    "--mu-i": "++++++",
+    "--mu-i": "++pppp",
     "--mu-j": "++pppp",
-    "--sigma-i": "++++++",
+    "--sigma-i": "++m+mm",
     "--sigma-j": "++++m+",
-    "--spot-i": "++++++",
-    "--spot-j": "++++++",
+    "--spot-i": "++m+mm",
+    "--spot-j": "++m+mm",
     "--rho": "++pppp",
     "--alpha": "++pppp",
     "--steps": "+ppppp",
@@ -141,7 +135,7 @@ CONVERSION_ERRORS = [
     ("mu_j", ("price",), "x", FLOAT),
     ("sigma_i", ("price",), "x", FLOAT),
     ("sigma_j", ("simulate",), "x", FLOAT),
-    ("spot_i", ("mape",), "x", FLOAT),
+    ("spot_i", ("mape", "--mode", "option"), "x", FLOAT),
     ("spot_j", ("price",), "x", FLOAT),
     ("rho", ("simulate",), "x", FLOAT),
     ("alpha", ("price",), "x", FLOAT),
@@ -159,10 +153,18 @@ CONVERSION_ERRORS = [
     ("threads", ("mape",), "x", INT),
     ("rho_grid", ("mape",), "x", FLOAT),
     ("rho_grid", ("mape",), "0:1", "grid must be lo:hi:count, got '0:1'"),
+    ("rho_grid", ("mape",), "2", "rho must lie in [-1, 1], got 2.0"),
+    ("rho_grid", ("mape", "--mode", "option"), "-1:1.5:2", "rho must lie in [-1, 1], got 1.5"),
     ("alpha_grid", ("mape", "--mode", "option"), "1,x", FLOAT),
     ("alpha_grid", ("mape",), "0:1:0", "grid count must be >= 1, got 0"),
+    ("alpha_grid", ("mape",), "nan", "alpha must be finite and > 0, got nan"),
+    ("alpha_grid", ("mape", "--mode", "option"), "1,0", "alpha must be finite and > 0, got 0.0"),
     ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), ",",
      "expected at least one value, got ','"),
+    ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), "0.2,-0.1",
+     "sigma must be > 0, got -0.1"),
+    ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), "1e155",
+     "sigma**2 must be finite, got sigma = 1e+155"),
 ]
 
 
@@ -281,19 +283,19 @@ class TestSimulate:
             exact, magnitude = decimal_predict_twin(pair, t, s_i, wx, wy)
             assert abs(predicted - exact) <= LOG_SUM_ROUNDINGS * EPS * magnitude * exact
 
-    @pytest.mark.parametrize("rho, alpha", [(0.8, 1.1), (-0.5, 1.4)])
-    def test_prediction_log_error_law(self, rho, alpha, capsys):
+    @pytest.mark.parametrize("rho, alpha_value", [(0.8, 1.1), (-0.5, 1.4)])
+    def test_prediction_log_error_law(self, rho, alpha_value, capsys):
         # log(S'_j / S_j) at t is log B at the difference of the fresh and the
         # pair's own walks, so N(0, 2*sigma_j^2*t*d), d = (1 - alpha)^2 + 2*alpha*(1 - rho)
         seeds, steps = 400, 21
         log_error = np.empty((seeds, steps))
         for seed in range(seeds):
-            argv = f"simulate --rho={rho} --alpha {alpha} --steps {steps} --seed {seed}"
+            argv = f"simulate --rho={rho} --alpha {alpha_value} --steps {steps} --seed {seed}"
             assert main(argv.split()) == 0
             rows = np.array([[float(v) for v in line.split(",")]
                              for line in capsys.readouterr().out.splitlines()[2:]])
             log_error[seed] = np.log(rows[:, 3] / rows[:, 2])
-        d = (1 - alpha) ** 2 + 2 * alpha * (1 - rho)
+        d = (1 - alpha_value) ** 2 + 2 * alpha_value * (1 - rho)
         for k in (0, 4, 20):  # t = 1, 5 and 21 trading days
             variance = 2 * 0.4**2 * rows[k, 0] * d
             x = log_error[:, k]
@@ -320,17 +322,19 @@ class TestPrice:
         assert float(record["twin_price_se"]) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 1000])
-    @pytest.mark.parametrize("rho, alpha", [(0.8, 1.1), (1.0, 1.0)])
-    def test_mean_and_se_bit_identical_to_numpy(self, n, rho, alpha, capsys):
+    @pytest.mark.parametrize("rho, alpha_value", [(0.8, 1.1), (1.0, 1.0)])
+    def test_mean_and_se_bit_identical_to_numpy(self, n, rho, alpha_value, capsys):
         # at (rho, alpha) = (1, 1) log B is identically 0, every price is
         # the same and the SE is exactly 0 rather than rounding noise
-        assert main(f"price --rho {rho} --alpha {alpha} --n {n} --seed 3".split()) == 0
+        assert main(f"price --rho {rho} --alpha {alpha_value} --n {n} --seed 3".split()) == 0
         record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         draw = NoiseDraw.sample(substream(3, STREAM_PRICE), n)
-        pair = default_pair(alpha, rho=rho)
-        prices = twin_call(pair, spec, stochastic_term(pair, 0.25, draw.z_x, draw.z_y))
-        deterministic = n == 1 or (rho, alpha) == (1.0, 1.0)
+        pair = default_pair(alpha_value, rho=rho)
+        # `price` forms alpha from the drifts of its pair, whose mu_j --alpha set
+        a = alpha(pair)
+        prices = twin_call(pair, a, spec, stochastic_term(pair, a, 0.25, draw.z_x, draw.z_y))
+        deterministic = n == 1 or (rho, alpha_value) == (1.0, 1.0)
         se = 0.0 if deterministic else np.std(prices, ddof=1) / np.sqrt(n)
         assert float(record["twin_price_mean"]).hex() == float(np.mean(prices)).hex()
         assert float(record["twin_price_se"]).hex() == float(se).hex()
@@ -411,6 +415,26 @@ class TestPrice:
         assert code == 2
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestAlphaSetsMuJ:
+    """`--alpha` sets mu_j = alpha*sigma_j*mu_i/sigma_i on a `simulate` or
+    `price` pair, whose alpha the run then forms from the drifts."""
+
+    @staticmethod
+    def pair(*flags):
+        return _build_pair(_merged_options(build_parser().parse_args(["price", *flags])))
+
+    def test_section3_consistency(self):
+        assert self.pair("--alpha", "1").asset_j.mu == pytest.approx(0.8, rel=1e-15)
+
+    def test_linearity(self):
+        assert self.pair("--alpha", "2").asset_j.mu == pytest.approx(1.6, rel=1e-15)
+
+    @given(target=st.floats(min_value=0.01, max_value=10.0))
+    def test_round_trip(self, target):
+        pair = self.pair("--alpha", repr(target), "--rho", "0.5")
+        assert alpha(pair) == pytest.approx(target, rel=1e-12)
 
 
 class TestMape:
@@ -498,6 +522,31 @@ class TestMape:
         assert grids == []
         assert not out.exists()
 
+    # 0.5.2 named these cells, whose mu_j overflowed or whose alpha rounded
+    # to 0 on the way through mu_j; without the flags that mape no longer
+    # reads, each cell runs at its alpha label
+    FORMER_ROUND_TRIP = {  # argv: exit code, and the exit-4 diagnostic
+        "mape --rho-grid 0 --alpha-grid 1,1e10 --n 2":
+            (4, "non-finite MAPE at rho=0.0, alpha=10000000000.0: mape=inf, se=nan"),
+        "mape --mode option --sigma-i 1e-300 --rho-grid 0 --alpha-grid 1,1e10 --n 2":
+            (4, "non-finite MAPE at rho=0.0, alpha=1.0: mape=inf, se=nan"),
+        "mape --mode option --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 --alpha-grid 1e-10,1 "
+        "--n 2": (0, None),
+    }
+
+    @pytest.mark.parametrize("argv", list(FORMER_ROUND_TRIP))
+    def test_former_round_trip_cells_run(self, argv, tmp_path, capsys):
+        code, err = self.FORMER_ROUND_TRIP[argv]
+        result, out = run(tmp_path, *argv.split())
+        assert result == code
+        if err is not None:
+            assert capsys.readouterr().err == f"error: numerical: {err}\n"
+            assert not out.exists()
+            return
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1e-10", "1"]
+        assert all(np.isfinite(float(v)) for row in rows for v in row)
+
     def test_negative_alpha_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "mape", "--mode", "asset", "--alpha-grid=-0.5,1")
         assert code == 2
@@ -525,6 +574,46 @@ class TestMape:
         assert code == 4
         assert "rho=0.0, alpha=5.0" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestMetamorphic:
+    """Exact relations between `mape` runs on 5 x 5 grids. The cells read
+    sigma, tau and r only through sigma*sqrt(tau), sigma^2*tau and r*tau,
+    and each of those is formed with the same roundings after the time
+    rescaling by c = 4 (sigma / 2, r / 4, tau * 4: every factor a power of
+    2), so the bytes are the same. The option surface depends on spot_j and
+    the strike only through their ratio, up to the rounding of their logs."""
+
+    GRID = ("--rho-grid=-1:1:5", "--alpha-grid", "0.5:1.5:5", "--n", "2000", "--seed", "4")
+
+    def surface(self, tmp_path, *flags):
+        code, out = run(tmp_path, "mape", *self.GRID, *flags, name="-".join(flags) + ".csv")
+        assert code == 0
+        return out.read_bytes()
+
+    def test_asset_time_rescaling(self, tmp_path):
+        day = self.surface(tmp_path, "--mode", "asset")
+        rescaled = self.surface(tmp_path, "--mode", "asset", "--sigma-j", repr(0.4 / 2),
+                                "--horizon", repr(4 * (1 / 252)))
+        assert rescaled == day
+
+    def test_option_time_rescaling(self, tmp_path):
+        quarter = self.surface(tmp_path, "--mode", "option")
+        rescaled = self.surface(tmp_path, "--mode", "option", "--sigma-i", repr(0.2 / 2),
+                                "--sigma-j", repr(0.4 / 2), "--rate", repr(0.05 / 4),
+                                "--maturity", repr(0.25 * 4))
+        assert rescaled == quarter
+
+    def test_option_spot_j_and_strike_doubled(self, tmp_path):
+        def values(data):
+            return np.array([[float(v) for v in line.split(",")]
+                             for line in data.decode().splitlines()[1:]])
+
+        base = values(self.surface(tmp_path, "--mode", "option"))
+        doubled = values(self.surface(tmp_path, "--mode", "option", "--spot-j", "180",
+                                      "--strike", "180"))
+        # measured: at most 7.1e-15 relative
+        assert np.all(np.abs(doubled - base) <= 1e-14 * np.abs(base))
 
 
 class TestConfigAndErrors:
@@ -663,6 +752,12 @@ class TestFlagsPerSubcommand:
         # alpha sets mu_j
         (["simulate", "--mu-j", "0.9", "--alpha", "1.1"], "--mu-j"),
         (["price", "--mu-j", "0.9", "--alpha", "1.1"], "--mu-j"),
+        # no mape cell reads a drift, and an asset cell no spot or sigma_i
+        (["mape", "--mu-i", "0.4"], "--mu-i"),
+        (["mape", "--mode", "option", "--mu-i", "0.4"], "--mu-i"),
+        (["mape", "--sigma-i", "0.2"], "--sigma-i"),
+        (["mape", "--mode", "sigma-sweep", "--spot-i", "80"], "--spot-i"),
+        (["mape", "--mode", "horizon-compare", "--spot-j", "90"], "--spot-j"),
     ])
     def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -685,10 +780,11 @@ class TestFlagsPerSubcommand:
         ("rho = 2", "rho must lie in [-1, 1], got 2.0"),
         ("alpha = -1", "{cfg}:1: alpha: must be > 0, got -1.0"),
         ("mu_j = nan", "asset j: mu must be finite, got nan"),
+        ("mu_i = nan", "asset i: mu must be finite, got nan"),
     ])
     def test_config_key_mape_does_not_read_is_not_validated(self, line, message, tmp_path,
                                                             capsys):
-        # every mape cell sets mu_j and rho itself
+        # every mape cell takes rho and alpha from the grids and reads no drift
         cfg = tmp_path / "pair.cfg"
         cfg.write_text(line + "\n")
         for mode in ("asset", "option"):

@@ -44,8 +44,9 @@ RATE = domain(st.floats(-0.5, 0.5), [0.0], [-50.0])
 N = st.sampled_from([1, 2, 200])
 SEED = st.integers(0, 2**31)
 
-ASSETS = {"mu_i": DRIFT, "sigma_i": VOL, "spot_i": PRICE, "spot_j": PRICE, "seed": SEED}
-PAIR = {**ASSETS, "sigma_j": VOL, "rho": RHO}
+# the asset options of the twin price; a `mape` asset cell reads sigma_j alone
+PRICED = {"sigma_i": VOL, "sigma_j": VOL, "spot_i": PRICE, "spot_j": PRICE}
+PAIR = {**PRICED, "mu_i": DRIFT, "rho": RHO, "seed": SEED}
 OPTION = {"strike": PRICE, "rate": RATE, "maturity": TIME}
 
 
@@ -74,11 +75,12 @@ def price_argv():
 
 
 def mape_argv():
-    grid = {**ASSETS, "rho_grid": values(RHO), "alpha_grid": values(ALPHA), "n": N,
+    # each mode draws exactly the flags it reads: any other exits 2 at the gate
+    grid = {"seed": SEED, "rho_grid": values(RHO), "alpha_grid": values(ALPHA), "n": N,
             "threads": st.sampled_from([1, 2])}
     by_mode = {
         "asset": {"sigma_j": VOL, "horizon": TIME},
-        "option": {"sigma_j": VOL, **OPTION},
+        "option": {**PRICED, **OPTION},
         "sigma-sweep": {"sigma_j_values": values(VOL), "horizon": TIME},
         "horizon-compare": {"sigma_j": VOL},
     }
@@ -116,15 +118,15 @@ RECORDED = [
     # sigma_j*mu_i rounds to 0, alpha's denominator
     "price --mu-i 5e-324",
     "simulate --mu-i 5e-324 --steps 2",
-    "mape --mode option --mu-i 5e-324 --rho-grid 0 --alpha-grid 1 --n 2",
-    # a grid cell's mu_j overflows (exit 2 after the draw, unnamed, before
-    # 0.5.2), or rounds to 0 and gives the option cell alpha = 0
-    "mape --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2",
-    "mape --mode option --sigma-i 1e-300 --mu-i 1e10 --rho-grid 0 --alpha-grid 1,1e10 --n 2",
-    "mape --mode option --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
-    "--alpha-grid 1e-10,1 --n 2",
-    "mape --mode asset --mu-i 1e-300 --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 "
-    "--alpha-grid 1e-10,1 --n 2",
+    "mape --mode option --sigma-j 5e-324 --rho-grid 0 --alpha-grid 1 --n 2",
+    # a grid cell's mu_j overflowed (exit 2 after the draw, unnamed, before
+    # 0.5.2), or rounded to 0 and gave the option cell alpha = 0 (exit 2,
+    # named, before 0.6.0); without the flags that mape no longer reads, the
+    # cells now run at their alpha labels
+    "mape --rho-grid 0 --alpha-grid 1,1e10 --n 2",
+    "mape --mode option --sigma-i 1e-300 --rho-grid 0 --alpha-grid 1,1e10 --n 2",
+    "mape --mode option --sigma-j 1e-10 --sigma-i 1e10 --rho-grid 0 --alpha-grid 1e-10,1 --n 2",
+    "mape --mode asset --sigma-j 1e-10 --rho-grid 0 --alpha-grid 1e-10,1 --n 2",
     # 1e15 doubles (7.1 PiB) exceed the x86-64 user address space, so numpy
     # fails before it allocates anything (a traceback and exit 1 before 0.5.6)
     "price --n 1000000000000000",

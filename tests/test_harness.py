@@ -4,8 +4,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from twinassets import (
     AssetParams,
@@ -16,8 +14,6 @@ from twinassets import (
     NumericalError,
     OptionSpec,
     TwinPair,
-    alpha,
-    alpha_to_mu_j,
     bs_call,
     mape_asset,
     mape_option,
@@ -43,18 +39,20 @@ def grid(rhos, alphas, n=10000, horizon=ONE_DAY, seed=7):
 
 
 def cell_pair(base, rho, alpha_value):
-    """The pair of the grid cell (rho, alpha) over base, as the harness builds it."""
-    mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, base.asset_j.sigma)
+    """The pair of the unreduced model at the grid cell (rho, alpha) over
+    base: mu_j set so that the pair's alpha is alpha_value up to rounding,
+    which the simulated truth needs. A grid cell itself reads no drift."""
+    mu_j = alpha_value * base.asset_j.sigma * base.asset_i.mu / base.asset_i.sigma
     return replace(base, asset_j=replace(base.asset_j, mu=mu_j), rho=float(rho))
 
 
 class TestGridSpec:
     def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^alpha must be finite and > 0, got 0\.0"):
             grid([0.5], [0.0])
 
     def test_rejects_out_of_range_rho(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^rho must lie in \[-1, 1\], got 1\.2$"):
             grid([1.2], [1.0])
 
     def test_rejects_zero_replications(self):
@@ -65,32 +63,6 @@ class TestGridSpec:
     def test_rejects_empty_values(self, rhos, alphas):
         with pytest.raises(InvalidParameterError, match="must not be empty"):
             grid(rhos, alphas)
-
-
-class TestAlphaToMuJ:
-    def test_section3_consistency(self):
-        assert alpha_to_mu_j(1.0, 0.4, 0.2, 0.4) == pytest.approx(0.8, rel=1e-15)
-
-    def test_linearity(self):
-        assert alpha_to_mu_j(2.0, 0.4, 0.2, 0.4) == pytest.approx(1.6, rel=1e-15)
-
-    @given(target=st.floats(min_value=0.01, max_value=10.0))
-    def test_round_trip(self, target):
-        mu_j = alpha_to_mu_j(target, 0.4, 0.2, 0.4)
-        pair = TwinPair(
-            asset_i=AssetParams(mu=0.4, sigma=0.2, spot=80.0),
-            asset_j=AssetParams(mu=mu_j, sigma=0.4, spot=90.0),
-            rho=0.5,
-        )
-        assert alpha(pair) == pytest.approx(target, rel=1e-12)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            alpha_to_mu_j(-1.0, 0.4, 0.2, 0.4)
-        with pytest.raises(InvalidParameterError):
-            alpha_to_mu_j(1.0, 0.0, 0.2, 0.4)
-        with pytest.raises(InvalidParameterError):
-            alpha_to_mu_j(1.0, 0.4, -0.2, 0.4)
 
 
 class TestMapeAsset:
@@ -140,8 +112,8 @@ class TestLogRatioKernel:
         for rho in README_RHOS:
             for alpha_value in README_ALPHAS:
                 pair = cell_pair(section3_pair, rho, alpha_value)
-                expected = unreduced_ape(pair, tau, z)
-                ape = np.abs(np.expm1(stochastic_term(pair, tau, u, v)))
+                expected = unreduced_ape(pair, alpha_value, tau, z)
+                ape = np.abs(np.expm1(stochastic_term(pair, alpha_value, tau, u, v)))
                 worst = max(worst, float(np.max(np.abs(ape - expected) / (1 + expected))))
         assert worst <= 1e-13
 
@@ -150,9 +122,9 @@ class TestLogRatioKernel:
         for tau in (ONE_DAY, ONE_MONTH, 1.0):
             for rho in README_RHOS:
                 for alpha_value in README_ALPHAS:
-                    pair = cell_pair(section3_pair, rho, alpha_value)
-                    twice = stochastic_coefficients(pair, 2 * tau)
-                    for k2, k in zip(twice, stochastic_coefficients(pair, tau)):
+                    pair = replace(section3_pair, rho=rho)
+                    twice = stochastic_coefficients(pair, alpha_value, 2 * tau)
+                    for k2, k in zip(twice, stochastic_coefficients(pair, alpha_value, tau)):
                         assert abs(k2 - math.sqrt(2) * k) <= 4 * math.ulp(k2), (rho, alpha_value)
 
     @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH])
@@ -166,7 +138,8 @@ class TestLogRatioKernel:
         z = np.random.default_rng(1000 + seed).standard_normal((4, n))
         for l, rho in enumerate(rhos):
             for m, alpha_value in enumerate(alphas):
-                ape = 100 * unreduced_ape(cell_pair(section3_pair, rho, alpha_value), tau, z)
+                pair = cell_pair(section3_pair, rho, alpha_value)
+                ape = 100 * unreduced_ape(pair, alpha_value, tau, z)
                 value, se = result.grid[l, m], result.standard_errors[l, m]
                 if (rho, alpha_value) == (1.0, 1.0):
                     assert value == 0.0 and np.max(ape) < 1e-11
@@ -199,6 +172,29 @@ class TestLogRatioKernel:
         one = run(grid([g.rho_values[3]], [g.alpha_values[1]], n=3000))
         assert big.grid[3, 1].tobytes() == one.grid[0, 0].tobytes()
         assert big.standard_errors[3, 1].tobytes() == one.standard_errors[0, 0].tobytes()
+
+
+class TestExactAlpha:
+    """A cell is evaluated at its alpha label itself. Here each cell of the
+    README asset grid is formed from scratch at alpha = alpha_values[m]:
+    kappa_x, kappa_y at the horizon 2*tau, log B over the grid's draw, and
+    the mean and sample SD of |expm1(log B)|, which the grid must give bit
+    for bit. Before 0.6.0, 10 of the 21 alpha labels reached the cells
+    through mu_j and back, one ulp off, and those columns differed."""
+
+    def test_readme_asset_cells_at_their_alpha_labels(self, section3_pair):
+        n, seed, tau = 40000, 42, 2 * ONE_DAY
+        g = grid(README_RHOS, README_ALPHAS, n=n, seed=seed)
+        result = mape_asset(section3_pair, g)
+        draw = NoiseDraw.sample(substream(seed, STREAM_ASSET_MAPE), n)
+        scale = 0.4 * math.sqrt(tau)
+        for l, rho in enumerate(g.rho_values):
+            for m, a in enumerate(g.alpha_values):
+                kappa_x, kappa_y = scale * (1.0 - rho * a), scale * a * math.sqrt(1.0 - rho**2)
+                ape = np.abs(np.expm1(kappa_x * draw.z_x - kappa_y * draw.z_y))
+                se = 0.0 if (rho, a) == (1.0, 1.0) else np.std(ape, ddof=1)
+                expected = (100 * np.mean(ape), 100 * se / np.sqrt(n))
+                assert (result.grid[l, m], result.standard_errors[l, m]) == expected, (rho, a)
 
 
 class TestThreadSplit:
@@ -323,13 +319,13 @@ class TestPlainOracle:
             benchmark = bs_call(90.0, spec, 0.4)
         for l, rho in enumerate(self.RHOS):
             for m, alpha_value in enumerate(self.ALPHAS):
-                pair = cell_pair(section3_pair, rho, alpha_value)
+                pair = replace(section3_pair, rho=rho)
                 if mode == "asset":
-                    log_b = stochastic_term(pair, 2 * ONE_DAY, draw.z_x, draw.z_y)
+                    log_b = stochastic_term(pair, alpha_value, 2 * ONE_DAY, draw.z_x, draw.z_y)
                     ape = np.abs(np.expm1(log_b))
                 else:
-                    log_b = stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
-                    ape = np.abs(twin_call(pair, spec, log_b) - benchmark) / benchmark
+                    log_b = stochastic_term(pair, alpha_value, spec.maturity, draw.z_x, draw.z_y)
+                    ape = np.abs(twin_call(pair, alpha_value, spec, log_b) - benchmark) / benchmark
                 mape = 100 * np.mean(ape)
                 if n == 1 or (rho, alpha_value) == (1.0, 1.0):
                     se = 0.0
@@ -442,10 +438,10 @@ class TestSpotScaling:
 class TestDriftInvariance:
     """At fixed alpha the asset error does not depend on mu_i: mu_j follows
     mu_i, and the drifts cancel from log(S'_j / S_j), which is log B at
-    (u, v). Each cell's mean APE, through the unreduced path and through
-    `mape_asset`, agrees across drifts within RTOL relative. At
-    (rho, alpha) = (1, 1) the exact error is 0; there the unreduced path
-    gives rounding noise of a few 1e-15 and `mape_asset` exactly 0."""
+    (u, v). Each cell's mean APE through the unreduced path agrees across
+    drifts within RTOL relative; `mape_asset`, which reads no drift, gives
+    the same bytes. At (rho, alpha) = (1, 1) the exact error is 0; there
+    the unreduced path gives rounding noise of a few 1e-15."""
 
     RTOL = 1e-12
     MU_I = (-0.3, 0.05, 1.0, 3.0)
@@ -453,25 +449,22 @@ class TestDriftInvariance:
     ALPHAS = np.linspace(0.5, 1.5, 9)
 
     @staticmethod
-    def at_drift(base, mu_i, rho=None, alpha_value=None):
-        pair = replace(base, asset_i=replace(base.asset_i, mu=mu_i))
-        if alpha_value is None:
-            return pair
-        mu_j = alpha_to_mu_j(alpha_value, mu_i, pair.asset_i.sigma, pair.asset_j.sigma)
-        return replace(pair, asset_j=replace(pair.asset_j, mu=mu_j), rho=float(rho))
+    def at_drift(base, mu_i):
+        return replace(base, asset_i=replace(base.asset_i, mu=mu_i))
 
     @pytest.mark.parametrize("tau", [ONE_DAY, ONE_MONTH, 1.0])
     @pytest.mark.parametrize("mu_i", MU_I)
     def test_unreduced_ape_invariant(self, section3_pair, tau, mu_i):
         z = np.random.default_rng(13).standard_normal((4, 2000))
 
-        def mean_ape(pair):
-            return np.mean(unreduced_ape(pair, tau, z))
+        def mean_ape(base, rho, alpha_value):
+            pair = cell_pair(base, rho, alpha_value)
+            return np.mean(unreduced_ape(pair, alpha_value, tau, z))
 
         for rho in self.RHOS:
             for alpha_value in self.ALPHAS:
-                ref = mean_ape(self.at_drift(section3_pair, 0.4, rho, alpha_value))
-                got = mean_ape(self.at_drift(section3_pair, mu_i, rho, alpha_value))
+                ref = mean_ape(section3_pair, rho, alpha_value)
+                got = mean_ape(self.at_drift(section3_pair, mu_i), rho, alpha_value)
                 if (rho, alpha_value) == (1.0, 1.0):
                     assert max(ref, got) < 1e-13
                 else:
@@ -482,9 +475,8 @@ class TestDriftInvariance:
         g = grid(self.RHOS, self.ALPHAS, n=4000)
         ref = mape_asset(section3_pair, g)
         got = mape_asset(self.at_drift(section3_pair, mu_i), g)
-        np.testing.assert_allclose(got.grid, ref.grid, rtol=self.RTOL, atol=0)
-        np.testing.assert_allclose(got.standard_errors, ref.standard_errors,
-                                   rtol=self.RTOL, atol=0)
+        assert got.grid.tobytes() == ref.grid.tobytes()
+        assert got.standard_errors.tobytes() == ref.standard_errors.tobytes()
 
 
 def with_sigma_j(base, sigma_j):

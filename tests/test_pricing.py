@@ -14,7 +14,6 @@ from twinassets import (
     OptionSpec,
     TwinPair,
     alpha,
-    alpha_to_mu_j,
     bs_call,
     mape_option,
     normal_cdf,
@@ -27,8 +26,8 @@ from conftest import expected_twin_call, reference_bs_call, twin_call_quadrature
 
 
 def log_b_of(pair, spec, draw):
-    """log B over the maturity of a draw, as the CLI and the harness form it."""
-    return stochastic_term(pair, spec.maturity, draw.z_x, draw.z_y)
+    """log B over the maturity of a draw at the pair's alpha, as `price` forms it."""
+    return stochastic_term(pair, alpha(pair), spec.maturity, draw.z_x, draw.z_y)
 
 
 class TestNormalCdf:
@@ -58,7 +57,7 @@ class TestNormalCdf:
 
         def values():
             grid = mape_option(section3_pair, spec, g)
-            return (bs_call(90.0, spec, 0.4), twin_call(pair, spec, log_b).tobytes(),
+            return (bs_call(90.0, spec, 0.4), twin_call(pair, alpha(pair), spec, log_b).tobytes(),
                     grid.grid.tobytes(), grid.standard_errors.tobytes())
 
         expected = values()
@@ -167,8 +166,6 @@ def random_positive_alpha_pair(rng):
                                 spot=rng.uniform(40, 150)),
             rho=rng.uniform(-1, 1),
         )
-        from twinassets import alpha
-
         if 0.2 <= alpha(pair) <= 3.0:
             return pair
 
@@ -183,13 +180,14 @@ class TestTwinCall:
             log_b = log_b_of(pair, spec, NoiseDraw(*rng.standard_normal(2)))
             # e = 1 and log A = log B = 0 exactly whatever the drift and the
             # draw, so the twin forward is S_i; bs_call prices at drift 1
-            assert twin_call(pair, spec, log_b) == bs_call(pair.asset_j.spot, spec,
-                                                           pair.asset_j.sigma)
+            assert twin_call(pair, alpha(pair), spec, log_b) == bs_call(
+                pair.asset_j.spot, spec, pair.asset_j.sigma)
 
     def test_section3_perfect_twin_finite_price(self, section3_pair):
         # Frozen closed-form value at (rho, alpha) = (1, 1); B = 1 for any draw.
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
-        price = twin_call(section3_pair, spec, log_b_of(section3_pair, spec, NoiseDraw(1.4, 0.5)))
+        log_b = log_b_of(section3_pair, spec, NoiseDraw(1.4, 0.5))
+        price = twin_call(section3_pair, alpha(section3_pair), spec, log_b)
         assert price == pytest.approx(8.350349700908367, rel=1e-12)
 
     def test_negative_alpha_rejected(self):
@@ -200,20 +198,20 @@ class TestTwinCall:
         )
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         with pytest.raises(InvalidParameterError, match="requires alpha > 0"):
-            twin_call(pair, spec, 0.0)
+            twin_call(pair, alpha(pair), spec, 0.0)
         with pytest.raises(InvalidParameterError, match="requires alpha > 0"):
-            twin_call_quadrature(pair, spec, 0.0)
+            twin_call_quadrature(pair, alpha(pair), spec, 0.0)
 
     def test_vectorized_draw(self, section3_pair):
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         pair = TwinPair(asset_i=section3_pair.asset_i, asset_j=section3_pair.asset_j, rho=0.6)
         log_b = log_b_of(pair, spec, NoiseDraw.sample(np.random.default_rng(1), 64))
-        prices = twin_call(pair, spec, log_b)
+        prices = twin_call(pair, alpha(pair), spec, log_b)
         assert prices.shape == (64,)
         assert np.all(prices >= 0)
         # a scalar log B gives a scalar, the same as its entry of the array
         for k, value in enumerate(log_b.tolist()):
-            price = twin_call(pair, spec, value)
+            price = twin_call(pair, alpha(pair), spec, value)
             assert type(price) is np.float64
             assert price.tobytes() == prices[k].tobytes()
 
@@ -226,7 +224,7 @@ class TestTwinCall:
         log_b = log_b_of(pair, spec, NoiseDraw.sample(np.random.default_rng(2), n))
         tracemalloc.start()
         try:
-            twin_call(pair, spec, log_b)
+            twin_call(pair, alpha(pair), spec, log_b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -241,8 +239,8 @@ class TestQuadratureOracle:
             spec = OptionSpec(strike=rng.uniform(40, 150), maturity=rng.uniform(0.05, 1.0),
                               rate=rng.uniform(0, 0.1))
             log_b = log_b_of(pair, spec, NoiseDraw(*rng.standard_normal(2)))
-            closed = float(twin_call(pair, spec, log_b))
-            quad = twin_call_quadrature(pair, spec, log_b)
+            closed = float(twin_call(pair, alpha(pair), spec, log_b))
+            quad = twin_call_quadrature(pair, alpha(pair), spec, log_b)
             assert quad == pytest.approx(closed, rel=1e-6)
 
     def test_deep_itm_limit(self, section3_pair):
@@ -250,11 +248,11 @@ class TestQuadratureOracle:
         from twinassets import deterministic_term
 
         spec = OptionSpec(strike=1e-9, maturity=0.25, rate=0.05)
-        a_term = math.exp(deterministic_term(section3_pair, 0.25))
+        a_term = math.exp(deterministic_term(section3_pair, 1.0, 0.25))
         expo = 2.0  # alpha * sigma_j / sigma_i at section-3 parameters
         forward = a_term * 80.0**expo * math.exp((expo - 1) * (0.05 + 0.5 * 0.4 * 0.2) * 0.25)
-        closed = float(twin_call(section3_pair, spec, 0.0))
-        quad = twin_call_quadrature(section3_pair, spec, 0.0)
+        closed = float(twin_call(section3_pair, 1.0, spec, 0.0))
+        quad = twin_call_quadrature(section3_pair, 1.0, spec, 0.0)
         assert closed == pytest.approx(forward, rel=1e-9)
         assert quad == pytest.approx(forward, rel=1e-6)
 
@@ -264,17 +262,19 @@ class TestQuadratureOracle:
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho=0.6)
         log_b = log_b_of(pair, spec, NoiseDraw(1.4, 0.5))
-        oracle = twin_call_quadrature(pair, spec, log_b)
-        assert float(twin_call(pair, spec, log_b)) == pytest.approx(oracle, rel=1e-6)
+        a = alpha(pair)
+        oracle = twin_call_quadrature(pair, a, spec, log_b)
+        assert float(twin_call(pair, a, spec, log_b)) == pytest.approx(oracle, rel=1e-6)
         log_a = pricing.deterministic_term
-        monkeypatch.setattr(pricing, "deterministic_term", lambda p, tau: log_a(p, tau) + 1e-3)
-        closed = float(twin_call(pair, spec, log_b))
-        assert abs(closed - twin_call_quadrature(pair, spec, log_b)) > 1e-4 * oracle
+        monkeypatch.setattr(pricing, "deterministic_term",
+                            lambda p, alpha_value, tau: log_a(p, alpha_value, tau) + 1e-3)
+        closed = float(twin_call(pair, a, spec, log_b))
+        assert abs(closed - twin_call_quadrature(pair, a, spec, log_b)) > 1e-4 * oracle
 
     def test_deep_otm_limit(self, section3_pair):
         spec = OptionSpec(strike=1e7, maturity=0.25, rate=0.05)
-        assert float(twin_call(section3_pair, spec, 0.0)) < 1e-8
-        assert twin_call_quadrature(section3_pair, spec, 0.0) < 1e-8
+        assert float(twin_call(section3_pair, 1.0, spec, 0.0)) < 1e-8
+        assert twin_call_quadrature(section3_pair, 1.0, spec, 0.0) < 1e-8
 
 
 class TestExpectedTwinPrice:
@@ -285,16 +285,9 @@ class TestExpectedTwinPrice:
     SPEC = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
 
     @staticmethod
-    def pair_at(base, rho, alpha_value):
-        """base with mu_j set so that its alpha is alpha_value, as `--alpha` does."""
-        asset_j = base.asset_j
-        mu_j = alpha_to_mu_j(alpha_value, base.asset_i.mu, base.asset_i.sigma, asset_j.sigma)
-        return TwinPair(base.asset_i, AssetParams(mu_j, asset_j.sigma, asset_j.spot), float(rho))
-
-    @staticmethod
-    def oracle(pair, spec):
+    def oracle(pair, alpha_value, spec):
         return expected_twin_call(pair.asset_j.spot, pair.asset_i.sigma, pair.asset_j.sigma,
-                                  pair.rho, alpha(pair), spec.strike, spec.maturity, spec.rate)
+                                  pair.rho, alpha_value, spec.strike, spec.maturity, spec.rate)
 
     def test_gauss_hermite_mean_on_the_readme_option_cells(self, section3_pair):
         # worst relative gap over the 441 cells, measured: 8.3e-15 at 160
@@ -305,19 +298,20 @@ class TestExpectedTwinPrice:
         worst = 0.0
         for rho in np.linspace(-1, 1, 21):
             for alpha_value in np.linspace(0.5, 1.5, 21):
-                pair = self.pair_at(section3_pair, rho, alpha_value)
-                a = alpha(pair)
+                pair, a = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho), alpha_value
                 # log B ~ N(0, sigma_j^2*tau*(1 - 2*rho*alpha + alpha^2))
                 sd = pair.asset_j.sigma * math.sqrt(
                     spec.maturity * ((1 - a) ** 2 + 2 * a * (1 - rho)))
-                mean = float(np.dot(weights, twin_call(pair, spec, sd * nodes)))
-                expected = self.oracle(pair, spec)
+                mean = float(np.dot(weights, twin_call(pair, a, spec, sd * nodes)))
+                expected = self.oracle(pair, a, spec)
                 worst = max(worst, abs(mean - expected) / expected)
         assert worst <= 5e-14
 
     @pytest.mark.parametrize("rho, alpha_value", [(0.8, 1.1), (-0.5, 1.4), (0.0, 1.0)])
     def test_price_mean_within_4_se_over_seeds(self, section3_pair, rho, alpha_value, capsys):
-        expected = self.oracle(self.pair_at(section3_pair, rho, alpha_value), self.SPEC)
+        # at the grid value of alpha, which `--alpha` takes through mu_j
+        pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho)
+        expected = self.oracle(pair, alpha_value, self.SPEC)
         z_scores = []
         for seed in range(40):
             argv = f"price --rho={rho} --alpha {alpha_value} --n 10000 --seed {seed}".split()

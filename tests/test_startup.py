@@ -14,7 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, fingerprint, path_of
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -61,7 +61,8 @@ class TestExit:
         argv = "price --alpha 1.1 --rho 0.8 --n 10000 --seed 42"
         result = self.cli(argv)
         assert result.returncode == 0, result.stderr.decode()
-        assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN[argv][1]
+        expected = GOLDEN[argv][1][path_of(fingerprint())]
+        assert hashlib.sha256(result.stdout).hexdigest() == expected
         assert result.stderr == b""
 
     def test_numerical_error_is_one_clean_line(self):

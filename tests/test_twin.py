@@ -73,24 +73,24 @@ class TestDeterministicTerm:
     def test_identical_twin_reduction(self):
         a = AssetParams(mu=0.3, sigma=0.25, spot=70.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
-        assert deterministic_term(pair, 0.5) == 0.0
+        assert deterministic_term(pair, alpha(pair), 0.5) == 0.0
 
     def test_section3_frozen_value(self, section3_pair):
         # Independent scalar re-evaluation: 90 * 80^-2 * e^{0.2*(0.2-0.4)/252}.
-        assert math.exp(deterministic_term(section3_pair, 1 / 252)) == pytest.approx(
+        assert math.exp(deterministic_term(section3_pair, 1.0, 1 / 252)) == pytest.approx(
             0.01406026803428768, rel=1e-14
         )
 
     def test_small_tau_limit(self, section3_pair):
         expected = 90.0 * 80.0 ** (-2.0)
-        assert math.exp(deterministic_term(section3_pair, 1e-14)) == pytest.approx(
+        assert math.exp(deterministic_term(section3_pair, 1.0, 1e-14)) == pytest.approx(
             expected, rel=1e-12
         )
 
 
 class TestStochasticTerm:
     def test_perfect_twin_degeneracy(self, section3_pair):
-        assert stochastic_term(section3_pair, 0.5, 2.3, -1.7) == 0.0
+        assert stochastic_term(section3_pair, 1.0, 0.5, 2.3, -1.7) == 0.0
 
     def test_rho_one_depends_only_on_z_x(self):
         pair = TwinPair(
@@ -98,8 +98,8 @@ class TestStochasticTerm:
             asset_j=AssetParams(mu=1.2, sigma=0.4, spot=90.0),  # alpha = 1.5
             rho=1.0,
         )
-        b1 = stochastic_term(pair, 0.5, 0.8, 3.0)
-        b2 = stochastic_term(pair, 0.5, 0.8, -2.0)
+        b1 = stochastic_term(pair, alpha(pair), 0.5, 0.8, 3.0)
+        b2 = stochastic_term(pair, alpha(pair), 0.5, 0.8, -2.0)
         assert b1 == b2
 
     def test_lognormal_mean_identity(self):
@@ -112,7 +112,7 @@ class TestStochasticTerm:
         sig_j, rho, tau = 0.4, 0.3, 0.25
         n = 400000
         draw = NoiseDraw.sample(np.random.default_rng(17), n)
-        b = np.exp(stochastic_term(pair, tau, draw.z_x, draw.z_y))
+        b = np.exp(stochastic_term(pair, a, tau, draw.z_x, draw.z_y))
         log_var = tau * (sig_j**2 * (1 - rho * a) ** 2 + a**2 * sig_j**2 * (1 - rho**2))
         expected = math.exp(0.5 * log_var)
         se = np.std(b, ddof=1) / np.sqrt(n)
@@ -123,21 +123,20 @@ class TestStochasticTerm:
     def test_out_is_the_allocating_call_in_place(self, section3_pair, n, rho, alpha_value):
         # the grid cells' form: log B in out[0], out[1] its scratch; the
         # noises are read-only, so writing anything outside out raises
-        asset_j = AssetParams(mu=alpha_value * 0.8, sigma=0.4, spot=90.0)
-        pair = TwinPair(section3_pair.asset_i, asset_j, rho)
+        pair = TwinPair(section3_pair.asset_i, section3_pair.asset_j, rho)
         z_x, z_y = np.random.default_rng(n).standard_normal((2, n))
         z_x.flags.writeable = z_y.flags.writeable = False
-        kappa_x, kappa_y = stochastic_coefficients(pair, 0.25)
-        expected = stochastic_term(pair, 0.25, z_x, z_y)
+        kappa_x, kappa_y = stochastic_coefficients(pair, alpha_value, 0.25)
+        expected = stochastic_term(pair, alpha_value, 0.25, z_x, z_y)
         assert expected.tobytes() == (kappa_x * z_x - kappa_y * z_y).tobytes()
         out = np.full((2, n), np.nan)
-        log_b = stochastic_term(pair, 0.25, z_x, z_y, out=out)
+        log_b = stochastic_term(pair, alpha_value, 0.25, z_x, z_y, out=out)
         assert log_b.base is out and log_b.ctypes.data == out.ctypes.data
         assert log_b.shape == (n,)
         assert log_b.tobytes() == expected.tobytes()
         # Python-float noises: the same formula in Python floats, bit for bit
         x, y = float(z_x[0]), float(z_y[0])
-        scalar = stochastic_term(pair, 0.25, x, y)
+        scalar = stochastic_term(pair, alpha_value, 0.25, x, y)
         assert isinstance(scalar, float)
         assert np.float64(scalar).tobytes() == np.float64(kappa_x * x - kappa_y * y).tobytes()
 
@@ -147,14 +146,14 @@ class TestPredictTwin:
         a = AssetParams(mu=0.3, sigma=0.25, spot=70.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
         s_i, _ = terminal_pair(pair, 0.5, 0.4, 0.0)
-        log_b = stochastic_term(pair, 0.5, 1.2, -0.3)
-        assert predict_twin(pair, 0.5, s_i, log_b) == pytest.approx(s_i, rel=1e-14)
+        log_b = stochastic_term(pair, 1.0, 0.5, 1.2, -0.3)
+        assert predict_twin(pair, 1.0, 0.5, s_i, log_b) == pytest.approx(s_i, rel=1e-14)
 
     def test_perfect_twin_reproduces_truth_per_path(self, section3_pair):
         z_j, z_tilde, z_x, z_y = np.random.default_rng(2).standard_normal((4, 1000))
         s_i, s_j = terminal_pair(section3_pair, 1 / 252, z_j, z_tilde)
-        log_b = stochastic_term(section3_pair, 1 / 252, z_x, z_y)
-        predicted = predict_twin(section3_pair, 1 / 252, s_i, log_b)
+        log_b = stochastic_term(section3_pair, 1.0, 1 / 252, z_x, z_y)
+        predicted = predict_twin(section3_pair, 1.0, 1 / 252, s_i, log_b)
         assert np.max(np.abs(predicted - s_j) / s_j) < 1e-12
 
     def test_positivity(self):
@@ -163,8 +162,8 @@ class TestPredictTwin:
             pair = random_pair(rng)
             z_j, z_tilde, z_x, z_y = rng.standard_normal(4)
             s_i, _ = terminal_pair(pair, rng.uniform(0.01, 2.0), z_j, z_tilde)
-            log_b = stochastic_term(pair, 0.5, z_x, z_y)
-            assert predict_twin(pair, 0.5, s_i, log_b) > 0
+            log_b = stochastic_term(pair, alpha(pair), 0.5, z_x, z_y)
+            assert predict_twin(pair, alpha(pair), 0.5, s_i, log_b) > 0
 
 
 class TestExactRelation:
