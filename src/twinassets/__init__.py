@@ -7,9 +7,9 @@ import gc
 _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
-    from .engine import AssetParams, NoiseDraw, PathPair, TwinPair, simulate_paths
+    from .engine import AssetParams, NoiseDraw, TwinPair, simulate_paths
     from .errors import InvalidParameterError, NumericalError, TwinAssetsError
-    from .harness import GridSpec, MapeGrid, mape_asset, mape_option
+    from .harness import GridSpec, mape_asset, mape_option
     from .pricing import OptionSpec, bs_call, normal_cdf, twin_call
     from .twin import alpha, deterministic_term, predict_twin, stochastic_term
 finally:
@@ -17,17 +17,15 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 __all__ = [
     "AssetParams",
     "GridSpec",
     "InvalidParameterError",
-    "MapeGrid",
     "NoiseDraw",
     "NumericalError",
     "OptionSpec",
-    "PathPair",
     "TwinAssetsError",
     "TwinPair",
     "alpha",

@@ -14,6 +14,7 @@ included), 3 I/O error, 4 numerical failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -112,7 +113,7 @@ OPTIONS = {
     "spot_i": Option(float, 80.0, _PRICED, "spot price of asset i"),
     "spot_j": Option(float, 90.0, _PRICED, "spot price of asset j"),
     "rho": Option(float, 1.0, _PAIR, "return correlation"),
-    "alpha": Option(_positive(float), None, _PAIR,
+    "alpha": Option(lambda text: _check_alpha(float(text)), None, _PAIR,
                     "set similarity ratio directly (in place of --mu-j)"),
     "steps": Option(int, 252, ("simulate",), "number of time steps"),
     "dt": Option(float, ONE_DAY, ("simulate",), "step size in years"),
@@ -168,10 +169,11 @@ def _merged_options(args: argparse.Namespace) -> dict:
     subcommand or, under `mape`, the mode; it reads the options that list
     it, except `mu_j` when `alpha`, which sets mu_j, is given. A read
     option's text, from its flag or config line, is converted here and only
-    here, and a conversion error names that flag or line. A config file may
-    set any known key, so one file can serve every subcommand; a key that
-    the reader does not read keeps its default and is not converted. Such a
-    flag is a usage error."""
+    here, and a conversion error names that flag or line; `sources` maps
+    each converted key to that name. A config file may set any known key,
+    so one file can serve every subcommand; a key that the reader does not
+    read keeps its default and is not converted. Such a flag is a usage
+    error."""
     flags = {k: (v, _flag(k)) for k, v in vars(args).items() if k in OPTIONS and v is not None}
     given = {**(_read_config(args.config) if args.config else {}), **flags}  # key: (text, source)
     reader = args.command
@@ -179,7 +181,7 @@ def _merged_options(args: argparse.Namespace) -> dict:
         reader = given.get("mode", (OPTIONS["mode"].default,))[0]
         if reader not in _MODES:
             raise InvalidParameterError(f"unknown mape mode {reader!r}")
-    merged = {}
+    merged, sources = {}, {}
     for name, opt in OPTIONS.items():
         read = reader in opt.readers and not (name == "mu_j" and "alpha" in given)
         if name in flags and not read:
@@ -187,15 +189,17 @@ def _merged_options(args: argparse.Namespace) -> dict:
             raise InvalidParameterError(f"{_flag(name)} is not read by {where}")
         merged[name] = opt.default
         if read and name in given:
-            text, source = given[name]
-            with naming(source):
+            text, sources[name] = given[name]
+            with naming(sources[name]):
                 merged[name] = opt.type(text)
+    merged["sources"] = sources
     return merged
 
 
 def _build_pair(opts: dict) -> TwinPair:
     """The pair of the options, with the defaults of those a `mape` mode does
-    not read; alpha, when given, then sets mu_j, so other faults are named as without it."""
+    not read; alpha, when given, then sets mu_j, so other faults are named as
+    without it, and a mu_j that overflows is named by alpha's flag or line."""
     with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     with naming("asset j"):
@@ -204,8 +208,10 @@ def _build_pair(opts: dict) -> TwinPair:
     if opts["alpha"] is not None:
         # alpha = sigma_i*mu_j/(sigma_j*mu_i) solved for mu_j
         mu_j = opts["alpha"] * asset_j.sigma * asset_i.mu / asset_i.sigma
-        with naming("asset j"):
-            pair = replace(pair, asset_j=replace(asset_j, mu=mu_j))
+        if not math.isfinite(mu_j):
+            raise InvalidParameterError(f"{opts['sources']['alpha']}: mu_j = "
+                                        f"alpha*sigma_j*mu_i/sigma_i must be finite, got {mu_j}")
+        pair = replace(pair, asset_j=replace(asset_j, mu=mu_j))
     return pair
 
 
@@ -239,7 +245,7 @@ def run_simulate(opts: dict) -> str:
     pair = _build_pair(opts)
     a = alpha(pair)
     steps, dt = opts["steps"], opts["dt"]
-    paths = simulate_paths(pair, steps, dt, opts["seed"])
+    times, path_i, path_j = simulate_paths(pair, steps, dt, opts["seed"])
 
     # Predicted trajectory: at each grid time t, apply the twin relation
     # from t=0 over horizon t, with the fresh noises accumulated as
@@ -252,9 +258,9 @@ def run_simulate(opts: dict) -> str:
     log_b = stochastic_term(pair, a, 1.0, w_x, w_y)
     predicted = np.empty(steps + 1)
     predicted[0] = pair.asset_j.spot
-    predicted[1:] = predict_twin(pair, a, paths.times[1:], paths.path_i[1:], log_b)
+    predicted[1:] = predict_twin(pair, a, times[1:], path_i[1:], log_b)
 
-    columns = (paths.times, paths.path_i, paths.path_j, predicted)
+    columns = (times, path_i, path_j, predicted)
     table = np.column_stack(columns)
     valid = np.isfinite(table)
     valid[:, 1:] &= table[:, 1:] > 0
@@ -263,7 +269,7 @@ def run_simulate(opts: dict) -> str:
         k, c = bad[0]
         name = _SIMULATE_HEADER[c]
         raise NumericalError(
-            f"non-finite or non-positive {name} at step {k}, t={_fmt(paths.times[k])}: "
+            f"non-finite or non-positive {name} at step {k}, t={_fmt(times[k])}: "
             f"{name}={table[k, c]} (alpha = {a!r})"
         )
     return "".join([",".join(_SIMULATE_HEADER) + "\n", *_rows(*columns)])
@@ -307,7 +313,6 @@ def run_mape(opts: dict) -> str:
         runs = [(mape_asset(pair, grid, threads=threads), ())]
     elif mode == "option":
         spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
-        grid = replace(grid, horizon=spec.maturity)
         runs = [(mape_option(pair, spec, grid, threads=threads), ())]
     elif mode == "sigma-sweep":
         sigmas = opts["sigma_j_values"]
@@ -322,10 +327,9 @@ def run_mape(opts: dict) -> str:
     cells = np.meshgrid(grid.rho_values, grid.alpha_values, indexing="ij")
     rho_column, alpha_column = (values.ravel() for values in cells)
     text = ["rho,alpha,mape,se" + _MODES[mode][1] + "\n"]
-    for result, extra in runs:
+    for (mape, se), extra in runs:
         extra_columns = (np.full(rho_column.size, value) for value in extra)
-        text += _rows(rho_column, alpha_column, result.grid.ravel(),
-                      result.standard_errors.ravel(), *extra_columns)
+        text += _rows(rho_column, alpha_column, mape.ravel(), se.ravel(), *extra_columns)
     return "".join(text)
 
 

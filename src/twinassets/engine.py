@@ -1,9 +1,13 @@
 """Correlated lognormal asset dynamics, and the noise of the twin approximation.
 
+`AssetParams` and `TwinPair` check their fields: each asset's own
+domain, and rho in [-1, 1]. Results are plain arrays.
+
 `simulate_paths` samples both assets on a time grid through the exact
 lognormal solution, one step at a time, so there is no discretization
-bias at any step size. Asset j is driven by z_j alone, asset i by the mix
-rho*z_j + sqrt(1-rho^2)*z_tilde, so their log-returns have correlation rho.
+bias at any step size, and returns the times and the two paths. Asset j
+is driven by z_j alone, asset i by the mix rho*z_j + sqrt(1-rho^2)*z_tilde,
+so their log-returns have correlation rho.
 
 `NoiseDraw` holds the two fresh noises (z_x, z_y) of the twin
 approximation. Its stochastic term log B reads nothing else of a
@@ -59,11 +63,10 @@ class AssetParams:
 
 @dataclass(frozen=True)
 class TwinPair:
-    """Two assets plus the correlation rho of their returns.
-
-    Asset i is the proxy (traded) asset, asset j the target. sigma_j times
-    the drift of asset i, the denominator of `twin.alpha`, must be nonzero
-    (a subnormal drift can round it to 0).
+    """Two assets plus the correlation rho of their returns, which must lie
+    in [-1, 1]. Asset i is the proxy (traded) asset, asset j the target.
+    The drifts are not checked against each other: `twin.alpha`, the one
+    formula that divides by sigma_j*mu_i, rejects a zero denominator.
     """
 
     asset_i: AssetParams
@@ -72,9 +75,6 @@ class TwinPair:
 
     def __post_init__(self):
         _check_rho(self.rho)
-        if self.asset_j.sigma * self.asset_i.mu == 0:
-            raise InvalidParameterError(f"alpha is undefined: sigma_j*mu_i = 0 at mu_i = "
-                                        f"{self.asset_i.mu}, sigma_j = {self.asset_j.sigma}")
 
 
 @dataclass(frozen=True)
@@ -95,17 +95,10 @@ class NoiseDraw:
         return cls(z_x=rng.standard_normal(n), z_y=rng.standard_normal(n))
 
 
-@dataclass(frozen=True)
-class PathPair:
-    """Joint trajectory of both assets on a shared time grid."""
-
-    times: np.ndarray
-    path_i: np.ndarray
-    path_j: np.ndarray
-
-
-def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPair:
-    """Simulate both assets on the grid {0, dt, ..., n_steps*dt}.
+def simulate_paths(pair: TwinPair, n_steps: int, dt: float,
+                   seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate both assets on the grid {0, dt, ..., n_steps*dt}, returned
+    as (times, path_i, path_j), three arrays of n_steps + 1 values.
 
     Each step applies the exact lognormal solution with a fresh pair of
     unit normals (z_j shared between the assets), so the path law is exact
@@ -128,4 +121,4 @@ def simulate_paths(pair: TwinPair, n_steps: int, dt: float, seed: int) -> PathPa
     times = dt * np.arange(n_steps + 1)
     path_i = pair.asset_i.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_i)]))
     path_j = pair.asset_j.spot * np.exp(np.concatenate([[0.0], np.cumsum(log_j)]))
-    return PathPair(times=times, path_i=path_i, path_j=path_j)
+    return times, path_i, path_j

@@ -14,7 +14,8 @@ its own log B of it in its worker's scratch by `twin.stochastic_term`,
 the one log-B formula: common random numbers, so differences between
 cells carry little Monte Carlo noise. A cell's value depends only on the
 seed, n and its own (rho, alpha), never on the rest of the grid, the
-thread count or the schedule.
+thread count or the schedule. A grid returns two plain (n_rho, n_alpha)
+arrays, the MAPE and its Monte Carlo standard error, both in percent.
 
 The option grid evaluates its cells over the draw in a locality order
 (`_locality_order`): nearly all of an option cell's time is the normal CDF,
@@ -73,16 +74,6 @@ class GridSpec:
             raise InvalidParameterError(f"horizon must be finite and > 0, got {self.horizon}")
 
 
-@dataclass(frozen=True)
-class MapeGrid:
-    """MAPE surface (percent) indexed (rho_index, alpha_index), with
-    matching Monte Carlo standard errors. A plain record: `_run_grid`,
-    which builds it, has checked that every value and error is finite."""
-
-    grid: np.ndarray
-    standard_errors: np.ndarray
-
-
 def _mean_std(x: np.ndarray) -> tuple[float, float]:
     """Mean and sample standard deviation (ddof = 1) of the 1-d array x,
     bit-identical to np.mean(x) and np.std(x, ddof=1): one sum gives the
@@ -106,10 +97,11 @@ def _check_threads(threads: int) -> None:
         raise InvalidParameterError(f"threads must be >= 1, got {threads}")
 
 
-def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
+def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate cell_fn(l, m, scratch) -> (mean, std) of the cell's
     absolute percentage errors over every cell, as MAPE and SE in percent,
-    returned as a `MapeGrid` of the two surfaces; `grid` is the caller's.
+    returned as the two (n_rho, n_alpha) arrays (mape, se), indexed
+    (rho_index, alpha_index); `grid` is the caller's.
 
     scratch is a (2, n) float array owned by one worker: a cell may
     overwrite it, and the next cell of that worker gets it back. threads
@@ -153,7 +145,7 @@ def _run_grid(grid: GridSpec, cell_fn, threads: int = 1) -> MapeGrid:
             f"non-finite MAPE at rho={grid.rho_values[l]!r}, "
             f"alpha={grid.alpha_values[m]!r}: mape={mape[l, m]}, se={se[l, m]}"
         )
-    return MapeGrid(grid=mape, standard_errors=se)
+    return mape, se
 
 
 # Strip count of `_locality_order`, chosen by timing `ndtr` on the normal
@@ -175,7 +167,8 @@ def _locality_order(z_x: np.ndarray, z_y: np.ndarray) -> np.ndarray:
     return np.lexsort((np.where(strip % 2 == 1, -z_y, z_y), strip))
 
 
-def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
+def mape_asset(base: TwinPair, grid: GridSpec,
+               threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Asset-prediction MAPE: 100/N * sum |S'_j - S_j| / S_j per cell.
 
     The truth S_j is simulated over the horizon tau from the pair's own
@@ -202,15 +195,15 @@ def mape_asset(base: TwinPair, grid: GridSpec, threads: int = 1) -> MapeGrid:
     return _run_grid(grid, cell, threads)
 
 
-def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec, threads: int = 1) -> MapeGrid:
+def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec,
+                threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Option-pricing MAPE: 100/N * sum |c'_j - c_j| / c_j per cell.
 
     The benchmark c_j is the Black-Scholes price of the call on asset j,
     computed once; only the twin estimate varies per replication, through
-    log B over the option maturity. So the grid horizon is not read; the
-    CLI builds the option grid at `spec.maturity`. A benchmark that is not
-    finite and > 0 leaves every APE undefined, and fails before the draw.
-    Of base, sigma_i, sigma_j and both spots are read.
+    log B over the option maturity, so the grid horizon is not read. A
+    benchmark that is not finite and > 0 leaves every APE undefined, and
+    fails before the draw. Of base, sigma_i, sigma_j and both spots are read.
 
     The draw is permuted once into the locality order (see the module
     docstring), which keeps neighbours close in the (z_x, z_y) plane and

@@ -10,7 +10,8 @@ has to be representable on its own: `deterministic_term` and
 `stochastic_term` return log A and log B (the one log-B formula, which
 every caller uses), and `predict_twin` exponentiates the sum. Each term
 takes alpha as given and reads no drift: a MAPE cell passes its alpha
-label, `simulate` and `price` the `alpha(pair)` of their drifts. With the
+label, `simulate` and `price` the `alpha(pair)` of their drifts, the one
+formula that divides by sigma_j*mu_i and so the one that checks it. With the
 fresh noises replaced by the pair's own driving noises the relation is
 an exact identity; the residual oracle that checks it lives with the
 tests (`tests/conftest.py`).
@@ -28,10 +29,15 @@ def alpha(pair: TwinPair) -> float:
     """Similarity ratio sigma_i*mu_j / (sigma_j*mu_i).
 
     Equals the quotient of the assets' coefficients of variation; 1 for
-    identical twins, and alpha(i,j)*alpha(j,i) = 1 always. Defined
-    because TwinPair rejects a zero drift of asset i.
+    identical twins, and alpha(i,j)*alpha(j,i) = 1 always. Undefined, an
+    InvalidParameterError, when the denominator sigma_j*mu_i is 0: a zero
+    drift of asset i, or a product that rounds to 0 (a subnormal drift).
     """
-    return pair.asset_i.sigma * pair.asset_j.mu / (pair.asset_j.sigma * pair.asset_i.mu)
+    denominator = pair.asset_j.sigma * pair.asset_i.mu
+    if denominator == 0:
+        raise InvalidParameterError(f"alpha is undefined: sigma_j*mu_i = 0 at mu_i = "
+                                    f"{pair.asset_i.mu}, sigma_j = {pair.asset_j.sigma}")
+    return pair.asset_i.sigma * pair.asset_j.mu / denominator
 
 
 def twin_exponent(pair: TwinPair, alpha: float) -> float:

@@ -58,9 +58,9 @@ def grid(rhos, alphas, n, horizon=ONE_DAY):
 
 def test_criterion_1_perfect_twin_exactness():
     start = time.perf_counter()
-    result = mape_asset(baseline_pair(), grid([1.0], [1.0], n=40000))
+    surface, _ = mape_asset(baseline_pair(), grid([1.0], [1.0], n=40000))
     elapsed = time.perf_counter() - start
-    mape = result.grid[0, 0]
+    mape = surface[0, 0]
     report(1, "perfect-twin asset MAPE at (1,1) <= 1e-8, runtime < 5 s",
            mape <= 1e-8 and elapsed < 5.0,
            f"mape={mape:.3e}, runtime={elapsed:.2f}s")
@@ -79,7 +79,8 @@ def test_criterion_2_option_mape_thresholds():
 
     def thresholds_hold(sigma_j):
         g = grid([1.0], [0.8, 0.95, 1.0, 1.05, 1.25], n=10000)
-        row = mape_option(baseline_pair(sigma_j), spec, g).grid[0]
+        surface, _ = mape_option(baseline_pair(sigma_j), spec, g)
+        row = surface[0]
         under10 = all(v < 10.0 for v in row[1:4])
         under40 = row[0] < 40.0 and row[4] < 40.0
         return under10 and under40, [round(float(v), 1) for v in row]
@@ -123,7 +124,8 @@ def test_criterion_2_row_is_the_approximations_bias():
     spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
     for seed in (SEED, 1, 2, 3, 4):
         g = replace(grid([1.0], alphas, n=10000), master_seed=seed)
-        row = mape_option(baseline_pair(), spec, g).grid[0]
+        surface, _ = mape_option(baseline_pair(), spec, g)
+        row = surface[0]
         for a, value, (mape, se) in zip(alphas, row, oracle):
             # at alpha = 1 log B is identically 0 and the cell is exact
             bound = k_se * se if se else 1e-9 * mape
@@ -132,8 +134,8 @@ def test_criterion_2_row_is_the_approximations_bias():
 
 def test_criterion_3_monotonicity_in_rho():
     g = grid([-1.0, -0.5, 0.0, 0.5, 1.0], [1.0], n=40000)
-    result = mape_asset(baseline_pair(), g)
-    row, se = result.grid[:, 0], result.standard_errors[:, 0]
+    mape, se = mape_asset(baseline_pair(), g)
+    row, se = mape[:, 0], se[:, 0]
     ok = all(row[k + 1] < row[k] + 2 * (se[k] + se[k + 1]) for k in range(4))
     report(3, "asset MAPE strictly decreasing in rho at alpha=1 (2-SE slack)",
            ok, f"row={[round(float(v), 3) for v in row]}")
@@ -141,10 +143,12 @@ def test_criterion_3_monotonicity_in_rho():
 
 def test_criterion_4_horizon_amplification():
     rhos, alphas = np.linspace(-1, 1, 21), np.linspace(0.5, 1.5, 21)
-    day = mape_asset(baseline_pair(), grid(rhos, alphas, n=40000, horizon=ONE_DAY), threads=4)
-    month = mape_asset(baseline_pair(), grid(rhos, alphas, n=40000, horizon=ONE_MONTH), threads=4)
-    slack = 2 * (day.standard_errors + month.standard_errors)
-    frac = np.mean(month.grid + slack >= day.grid)
+    day, day_se = mape_asset(baseline_pair(), grid(rhos, alphas, n=40000, horizon=ONE_DAY),
+                             threads=4)
+    month, month_se = mape_asset(baseline_pair(),
+                                 grid(rhos, alphas, n=40000, horizon=ONE_MONTH), threads=4)
+    slack = 2 * (day_se + month_se)
+    frac = np.mean(month + slack >= day)
     report(4, "one-month MAPE >= one-day MAPE in >= 95% of cells (2-SE slack)",
            frac >= 0.95, f"fraction={frac:.3f}")
 
@@ -158,9 +162,9 @@ def test_criterion_5_sigma_ordering():
     ok = True
     for g in slices:
         results = [mape_asset(baseline_pair(sigma_j), g) for sigma_j in (0.2, 0.4, 0.6)]
-        for a, b in zip(results[:-1], results[1:]):
-            slack = 2 * (a.standard_errors + b.standard_errors)
-            ok &= bool(np.all(b.grid + slack >= a.grid))
+        for (a, a_se), (b, b_se) in zip(results[:-1], results[1:]):
+            slack = 2 * (a_se + b_se)
+            ok &= bool(np.all(b + slack >= a))
     report(5, "asset MAPE nondecreasing in sigma_j in {0.2,0.4,0.6} (2-SE slack)", ok)
 
 
@@ -279,8 +283,8 @@ def test_criterion_9_engine_statistics():
     # the step log-returns of one path; at dt = 1 the path would overflow
     # long before n steps (log S_j grows by 0.72 a step)
     tau = 1 / 252
-    paths = simulate_paths(pair, n, tau, SEED + 3)
-    r_i, r_j = np.diff(np.log(paths.path_i)), np.diff(np.log(paths.path_j))
+    _, path_i, path_j = simulate_paths(pair, n, tau, SEED + 3)
+    r_i, r_j = np.diff(np.log(path_i)), np.diff(np.log(path_j))
 
     ok = True
     details = []

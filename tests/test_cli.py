@@ -80,7 +80,7 @@ NAMED_USAGE_ERRORS = {
     # since 0.5.8 alpha's own converter rejects alpha <= 0, and a fault in
     # another input is named as it is without alpha
     "price --alpha 1 --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
-    "price --alpha 0": "--alpha: must be > 0, got 0.0",
+    "price --alpha 0": "--alpha: alpha must be finite and > 0, got 0.0",
     "simulate --mu-i 0 --alpha 1":
         "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 0.0, sigma_j = 0.4",
     "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
@@ -90,6 +90,10 @@ NAMED_USAGE_ERRORS = {
     "price --sigma-j 1e155": "asset j: sigma**2 must be finite, got sigma = 1e+155",
     "simulate --mu-i 5e-324":
         "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 5e-324, sigma_j = 0.4",
+    # since 0.6.1 `twin.alpha` makes this check; `price` calls it, as `simulate` does
+    "price --sigma-j 5e-324":
+        "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 0.4, sigma_j = 5e-324",
+    "price --mu-i 0": "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 0.0, sigma_j = 0.4",
 }
 
 
@@ -139,8 +143,12 @@ CONVERSION_ERRORS = [
     ("spot_j", ("price",), "x", FLOAT),
     ("rho", ("simulate",), "x", FLOAT),
     ("alpha", ("price",), "x", FLOAT),
-    ("alpha", ("simulate",), "0", "must be > 0, got 0.0"),
-    ("alpha", ("price",), "nan", "must be > 0, got nan"),
+    ("alpha", ("simulate",), "0", "alpha must be finite and > 0, got 0.0"),
+    ("alpha", ("price",), "nan", "alpha must be finite and > 0, got nan"),
+    ("alpha", ("price",), "inf", "alpha must be finite and > 0, got inf"),
+    # a finite alpha whose mu_j = alpha*sigma_j*mu_i/sigma_i overflows
+    ("alpha", ("price", "--sigma-j", "30"), "1e308",
+     "mu_j = alpha*sigma_j*mu_i/sigma_i must be finite, got inf"),
     ("steps", ("simulate",), "x", INT),
     ("dt", ("simulate",), "x", FLOAT),
     ("horizon", ("mape", "--mode", "sigma-sweep"), "x", FLOAT),
@@ -547,6 +555,24 @@ class TestMape:
         assert [row[1] for row in rows] == ["1e-10", "1"]
         assert all(np.isfinite(float(v)) for row in rows for v in row)
 
+    # mape reads no drift, so a sigma_j whose product with the default mu_i,
+    # alpha's denominator, rounds to 0 runs as any other (exit 2 before 0.6.1)
+    def test_subnormal_sigma_j_reaches_the_option_cells(self, tmp_path, capsys):
+        argv = "mape --mode option --sigma-j 5e-324 --rho-grid 0 --alpha-grid 1 --n 2"
+        code, out = run(tmp_path, *argv.split())
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "error: numerical: non-finite MAPE at rho=0.0, alpha=1.0: ")
+        assert not out.exists()
+
+    def test_subnormal_sigma_j_swept(self, tmp_path):
+        argv = "mape --mode sigma-sweep --sigma-j-values 0.2,5e-324 --rho-grid 0 --alpha-grid 1"
+        code, out = run(tmp_path, *argv.split(), "--n", "10")
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(row[-1]) for row in rows] == [0.2, 5e-324]
+        assert all(np.isfinite(float(v)) for row in rows for v in row)
+
     def test_negative_alpha_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "mape", "--mode", "asset", "--alpha-grid=-0.5,1")
         assert code == 2
@@ -778,7 +804,7 @@ class TestFlagsPerSubcommand:
 
     @pytest.mark.parametrize("line, message", [
         ("rho = 2", "rho must lie in [-1, 1], got 2.0"),
-        ("alpha = -1", "{cfg}:1: alpha: must be > 0, got -1.0"),
+        ("alpha = -1", "{cfg}:1: alpha: alpha must be finite and > 0, got -1.0"),
         ("mu_j = nan", "asset j: mu must be finite, got nan"),
         ("mu_i = nan", "asset i: mu must be finite, got nan"),
     ])

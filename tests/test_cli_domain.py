@@ -118,7 +118,12 @@ RECORDED = [
     # sigma_j*mu_i rounds to 0, alpha's denominator
     "price --mu-i 5e-324",
     "simulate --mu-i 5e-324 --steps 2",
+    # ... which mape, reading no drift, no longer rejects (exit 2 before 0.6.1)
     "mape --mode option --sigma-j 5e-324 --rho-grid 0 --alpha-grid 1 --n 2",
+    "mape --mode sigma-sweep --sigma-j-values 0.2,5e-324 --rho-grid 0 --alpha-grid 1 --n 10",
+    # alpha infinite, or finite with mu_j overflowing (unnamed before 0.6.1)
+    "price --alpha inf",
+    "price --alpha 1e308 --sigma-j 30",
     # a grid cell's mu_j overflowed (exit 2 after the draw, unnamed, before
     # 0.5.2), or rounded to 0 and gave the option cell alpha = 0 (exit 2,
     # named, before 0.6.0); without the flags that mape no longer reads, the

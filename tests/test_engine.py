@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from conftest import terminal_pair
-from twinassets import AssetParams, InvalidParameterError, NoiseDraw, TwinPair, simulate_paths
+from twinassets import (
+    AssetParams,
+    InvalidParameterError,
+    NoiseDraw,
+    TwinPair,
+    alpha,
+    simulate_paths,
+)
 from twinassets.seeding import STREAM_PATHS, substream
 
 BASE_I = AssetParams(mu=0.4, sigma=0.2, spot=80.0)
@@ -14,8 +21,8 @@ BASE_J = AssetParams(mu=0.8, sigma=0.4, spot=90.0)
 
 def step_log_returns(pair, n_steps, dt, seed):
     """The log-returns of the n_steps steps of one `simulate_paths` run."""
-    paths = simulate_paths(pair, n_steps, dt, seed)
-    return np.diff(np.log(paths.path_i)), np.diff(np.log(paths.path_j))
+    _, path_i, path_j = simulate_paths(pair, n_steps, dt, seed)
+    return np.diff(np.log(path_i)), np.diff(np.log(path_j))
 
 
 class TestValidation:
@@ -40,18 +47,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             TwinPair(asset_i=a, asset_j=a, rho=1.5)
 
+    # the pair itself checks rho alone; alpha, which divides by
+    # sigma_j*mu_i, rejects a zero denominator
     def test_zero_drift_reference_rejected(self):
         a = AssetParams(mu=0.0, sigma=0.2, spot=100.0)
         b = AssetParams(mu=0.1, sigma=0.2, spot=100.0)
         with pytest.raises(InvalidParameterError):
-            TwinPair(asset_i=a, asset_j=b, rho=0.5)
+            alpha(TwinPair(asset_i=a, asset_j=b, rho=0.5))
 
     def test_drift_whose_alpha_denominator_rounds_to_zero_rejected(self):
         a = AssetParams(mu=5e-324, sigma=0.2, spot=100.0)
         b = AssetParams(mu=0.1, sigma=0.4, spot=100.0)
         assert b.sigma * a.mu == 0
         with pytest.raises(InvalidParameterError, match="alpha is undefined"):
-            TwinPair(asset_i=a, asset_j=b, rho=0.5)
+            alpha(TwinPair(asset_i=a, asset_j=b, rho=0.5))
 
 
 class TestNoiseDraw:
@@ -70,9 +79,9 @@ class TestTerminalPair:
         # sigma -> 0: each step collapses onto the drift.
         a = AssetParams(mu=0.3, sigma=1e-12, spot=50.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=0.5)
-        paths = simulate_paths(pair, 1, 1.0, seed=4)
-        assert paths.path_i[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
-        assert paths.path_j[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
+        _, path_i, path_j = simulate_paths(pair, 1, 1.0, seed=4)
+        assert path_i[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
+        assert path_j[1] == pytest.approx(50.0 * math.exp(0.3), rel=1e-9)
 
     def test_rho_one_ignores_z_tilde(self):
         # at rho = 1 asset i sees z_j alone: both standardised step returns
@@ -110,17 +119,17 @@ class TestTerminalPair:
 
 class TestSimulatePaths:
     def test_grid_construction(self, section3_pair):
-        paths = simulate_paths(section3_pair, n_steps=252, dt=1 / 252, seed=1)
-        assert len(paths.times) == 253
-        assert paths.times[0] == 0.0
-        assert paths.times[-1] == pytest.approx(1.0)
-        assert paths.path_i[0] == 80.0 and paths.path_j[0] == 90.0
+        times, path_i, path_j = simulate_paths(section3_pair, n_steps=252, dt=1 / 252, seed=1)
+        assert len(times) == 253
+        assert times[0] == 0.0
+        assert times[-1] == pytest.approx(1.0)
+        assert path_i[0] == 80.0 and path_j[0] == 90.0
 
     def test_identical_seed_bit_identical(self, section3_pair):
-        p1 = simulate_paths(section3_pair, 100, 1 / 252, seed=99)
-        p2 = simulate_paths(section3_pair, 100, 1 / 252, seed=99)
-        assert np.array_equal(p1.path_i, p2.path_i)
-        assert np.array_equal(p1.path_j, p2.path_j)
+        _, i1, j1 = simulate_paths(section3_pair, 100, 1 / 252, seed=99)
+        _, i2, j2 = simulate_paths(section3_pair, 100, 1 / 252, seed=99)
+        assert np.array_equal(i1, i2)
+        assert np.array_equal(j1, j2)
 
     def test_step_log_return_correlation(self):
         pair = TwinPair(
@@ -129,21 +138,21 @@ class TestSimulatePaths:
             rho=0.5,
         )
         n = 40000
-        paths = simulate_paths(pair, n_steps=n, dt=1 / 252, seed=11)
-        r_i = np.diff(np.log(paths.path_i))
-        r_j = np.diff(np.log(paths.path_j))
+        _, path_i, path_j = simulate_paths(pair, n_steps=n, dt=1 / 252, seed=11)
+        r_i = np.diff(np.log(path_i))
+        r_j = np.diff(np.log(path_j))
         sample = np.corrcoef(r_i, r_j)[0, 1]
         se = (1 - 0.5**2) / np.sqrt(n)
         assert abs(sample - 0.5) < 3 * se
 
     def test_first_step_is_terminal_pair(self, section3_pair):
         pair = replace(section3_pair, rho=0.3)
-        paths = simulate_paths(pair, 4, 0.01, seed=8)
+        _, path_i, path_j = simulate_paths(pair, 4, 0.01, seed=8)
         rng = substream(8, STREAM_PATHS)
         z_j, z_tilde = rng.standard_normal(4), rng.standard_normal(4)
         s_i, s_j = terminal_pair(pair, 0.01, z_j[0], z_tilde[0])
-        assert paths.path_i[1].tobytes() == np.float64(s_i).tobytes()
-        assert paths.path_j[1].tobytes() == np.float64(s_j).tobytes()
+        assert path_i[1].tobytes() == np.float64(s_i).tobytes()
+        assert path_j[1].tobytes() == np.float64(s_j).tobytes()
 
     def test_invalid_steps(self, section3_pair):
         with pytest.raises(InvalidParameterError):

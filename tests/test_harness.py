@@ -9,7 +9,6 @@ from twinassets import (
     AssetParams,
     GridSpec,
     InvalidParameterError,
-    MapeGrid,
     NoiseDraw,
     NumericalError,
     OptionSpec,
@@ -67,37 +66,36 @@ class TestGridSpec:
 
 class TestMapeAsset:
     def test_perfect_twin_zero(self, section3_pair):
-        result = mape_asset(section3_pair, grid([1.0], [1.0], n=40000))
-        assert result.grid[0, 0] <= 1e-8
+        mape, _ = mape_asset(section3_pair, grid([1.0], [1.0], n=40000))
+        assert mape[0, 0] <= 1e-8
 
     def test_monotone_decreasing_in_rho(self, section3_pair):
         g = grid([-1.0, -0.5, 0.0, 0.5, 1.0], [1.0], n=40000)
-        result = mape_asset(section3_pair, g)
-        row = result.grid[:, 0]
-        se = result.standard_errors[:, 0]
+        mape, se = mape_asset(section3_pair, g)
+        row, se = mape[:, 0], se[:, 0]
         for k in range(len(row) - 1):
             assert row[k + 1] < row[k] + 2 * (se[k] + se[k + 1])
 
     def test_horizon_amplification(self, section3_pair):
         rhos, alphas = np.linspace(-1, 1, 5), np.linspace(0.5, 1.5, 5)
-        day = mape_asset(section3_pair, grid(rhos, alphas, horizon=ONE_DAY))
-        month = mape_asset(section3_pair, grid(rhos, alphas, horizon=ONE_MONTH))
-        slack = 2 * (day.standard_errors + month.standard_errors)
-        assert np.all(month.grid + slack >= day.grid)
+        day, day_se = mape_asset(section3_pair, grid(rhos, alphas, horizon=ONE_DAY))
+        month, month_se = mape_asset(section3_pair, grid(rhos, alphas, horizon=ONE_MONTH))
+        slack = 2 * (day_se + month_se)
+        assert np.all(month + slack >= day)
 
     def test_deterministic_and_thread_invariant(self, section3_pair):
         g = grid(np.linspace(-1, 1, 4), np.linspace(0.6, 1.4, 4), n=2000)
-        r1 = mape_asset(section3_pair, g, threads=1)
-        r2 = mape_asset(section3_pair, g, threads=4)
-        assert np.array_equal(r1.grid, r2.grid)
-        assert np.array_equal(r1.standard_errors, r2.standard_errors)
+        mape1, se1 = mape_asset(section3_pair, g, threads=1)
+        mape2, se2 = mape_asset(section3_pair, g, threads=4)
+        assert np.array_equal(mape1, mape2)
+        assert np.array_equal(se1, se2)
 
     def test_shape_and_metadata(self, section3_pair):
         g = grid([0.0, 0.5], [0.8, 1.0, 1.2], n=500)
-        result = mape_asset(section3_pair, g)
-        assert result.grid.shape == (2, 3)
-        assert result.standard_errors.shape == (2, 3)
-        assert np.all(result.grid >= 0)
+        mape, se = mape_asset(section3_pair, g)
+        assert mape.shape == (2, 3)
+        assert se.shape == (2, 3)
+        assert np.all(mape >= 0)
 
 
 class TestLogRatioKernel:
@@ -134,13 +132,13 @@ class TestLogRatioKernel:
         # independent four-normal draw: two estimates of each cell's MAPE
         n = 20000
         rhos, alphas = np.linspace(-1, 1, 9), np.linspace(0.5, 1.5, 9)
-        result = mape_asset(section3_pair, grid(rhos, alphas, n=n, horizon=tau, seed=seed))
+        mape, mape_se = mape_asset(section3_pair, grid(rhos, alphas, n=n, horizon=tau, seed=seed))
         z = np.random.default_rng(1000 + seed).standard_normal((4, n))
         for l, rho in enumerate(rhos):
             for m, alpha_value in enumerate(alphas):
                 pair = cell_pair(section3_pair, rho, alpha_value)
                 ape = 100 * unreduced_ape(pair, alpha_value, tau, z)
-                value, se = result.grid[l, m], result.standard_errors[l, m]
+                value, se = mape[l, m], mape_se[l, m]
                 if (rho, alpha_value) == (1.0, 1.0):
                     assert value == 0.0 and np.max(ape) < 1e-11
                     continue
@@ -150,14 +148,14 @@ class TestLogRatioKernel:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_readme_grid_within_6_se_of_closed_form(self, section3_pair, seed):
         g = grid(README_RHOS, README_ALPHAS, n=40000, seed=seed)
-        result = mape_asset(section3_pair, g)
+        mape, mape_se = mape_asset(section3_pair, g)
         for l, rho in enumerate(g.rho_values):
             for m, alpha_value in enumerate(g.alpha_values):
                 reference = asset_mape_closed_form(0.4, ONE_DAY, rho, alpha_value)
-                value, se = result.grid[l, m], result.standard_errors[l, m]
+                value, se = mape[l, m], mape_se[l, m]
                 assert abs(value - reference) <= 6 * se, (rho, alpha_value, value, reference, se)
-        assert result.grid[20, 10] == 0.0  # (rho, alpha) = (1, 1)
-        assert result.standard_errors[20, 10] == 0.0
+        assert mape[20, 10] == 0.0  # (rho, alpha) = (1, 1)
+        assert mape_se[20, 10] == 0.0
 
     @pytest.mark.parametrize("mode", ["asset", "option"])
     def test_cell_independent_of_grid(self, section3_pair, mode):
@@ -168,10 +166,10 @@ class TestLogRatioKernel:
             return mape_option(section3_pair, TestMapeOption.SPEC, g)
 
         g = grid(np.linspace(-1, 1, 5), np.linspace(0.5, 1.5, 5), n=3000)
-        big = run(g)
-        one = run(grid([g.rho_values[3]], [g.alpha_values[1]], n=3000))
-        assert big.grid[3, 1].tobytes() == one.grid[0, 0].tobytes()
-        assert big.standard_errors[3, 1].tobytes() == one.standard_errors[0, 0].tobytes()
+        big, big_se = run(g)
+        one, one_se = run(grid([g.rho_values[3]], [g.alpha_values[1]], n=3000))
+        assert big[3, 1].tobytes() == one[0, 0].tobytes()
+        assert big_se[3, 1].tobytes() == one_se[0, 0].tobytes()
 
 
 class TestExactAlpha:
@@ -185,7 +183,7 @@ class TestExactAlpha:
     def test_readme_asset_cells_at_their_alpha_labels(self, section3_pair):
         n, seed, tau = 40000, 42, 2 * ONE_DAY
         g = grid(README_RHOS, README_ALPHAS, n=n, seed=seed)
-        result = mape_asset(section3_pair, g)
+        mape, mape_se = mape_asset(section3_pair, g)
         draw = NoiseDraw.sample(substream(seed, STREAM_ASSET_MAPE), n)
         scale = 0.4 * math.sqrt(tau)
         for l, rho in enumerate(g.rho_values):
@@ -194,7 +192,7 @@ class TestExactAlpha:
                 ape = np.abs(np.expm1(kappa_x * draw.z_x - kappa_y * draw.z_y))
                 se = 0.0 if (rho, a) == (1.0, 1.0) else np.std(ape, ddof=1)
                 expected = (100 * np.mean(ape), 100 * se / np.sqrt(n))
-                assert (result.grid[l, m], result.standard_errors[l, m]) == expected, (rho, a)
+                assert (mape[l, m], mape_se[l, m]) == expected, (rho, a)
 
 
 class TestThreadSplit:
@@ -212,9 +210,9 @@ class TestThreadSplit:
                 return mape_asset(section3_pair, g, threads=t)
             return mape_option(section3_pair, TestMapeOption.SPEC, g, threads=t)
 
-        serial, split = run(1), run(threads)
-        assert split.grid.tobytes() == serial.grid.tobytes()
-        assert split.standard_errors.tobytes() == serial.standard_errors.tobytes()
+        (serial, serial_se), (split, split_se) = run(1), run(threads)
+        assert split.tobytes() == serial.tobytes()
+        assert split_se.tobytes() == serial_se.tobytes()
 
     def test_first_failing_cell_reported_at_any_thread_count(self):
         # e = alpha*sigma_j/sigma_i is 2400 at alpha = 40 and 3000 at alpha = 50;
@@ -311,10 +309,10 @@ class TestPlainOracle:
         g = grid(self.RHOS, self.ALPHAS, n=n, seed=5)
         spec = TestMapeOption.SPEC
         if mode == "asset":
-            result = mape_asset(section3_pair, g, threads=threads)
+            surface, surface_se = mape_asset(section3_pair, g, threads=threads)
             draw = NoiseDraw.sample(substream(5, STREAM_ASSET_MAPE), n)
         else:
-            result = mape_option(section3_pair, spec, g, threads=threads)
+            surface, surface_se = mape_option(section3_pair, spec, g, threads=threads)
             draw = NoiseDraw.sample(substream(5, STREAM_OPTION_MAPE), n)
             benchmark = bs_call(90.0, spec, 0.4)
         for l, rho in enumerate(self.RHOS):
@@ -331,9 +329,8 @@ class TestPlainOracle:
                     se = 0.0
                 else:
                     se = 100 * np.std(ape, ddof=1) / np.sqrt(n)
-                assert result.grid[l, m].tobytes() == np.float64(mape).tobytes(), (rho, alpha_value)
-                assert result.standard_errors[l, m].tobytes() == np.float64(se).tobytes(), (
-                    rho, alpha_value)
+                assert surface[l, m].tobytes() == np.float64(mape).tobytes(), (rho, alpha_value)
+                assert surface_se[l, m].tobytes() == np.float64(se).tobytes(), (rho, alpha_value)
 
 
 class TestMeanStd:
@@ -362,10 +359,27 @@ class TestMeanStd:
 
 
 class TestMapeGrid:
+    """The MAPE grid that `_run_grid` returns: two plain arrays."""
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_returns_mape_and_se_arrays(self, threads):
+        g = grid([0.0, 0.5], [0.8, 1.0, 5.0], n=4)
+
+        def cell(l, m, scratch):
+            return 0.1 * (l + 1) + m, 0.3 * m + 0.01 * l
+
+        mape, se = _run_grid(g, cell, threads)
+        assert mape.shape == se.shape == (2, 3)
+        for l in range(2):
+            for m in range(3):
+                mean, std = cell(l, m, None)
+                assert mape[l, m] == 100.0 * mean
+                assert se[l, m] == 100.0 * std / np.sqrt(4)
+
     @pytest.mark.parametrize("value, err", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)])
     def test_non_finite_cell_named(self, value, err):
-        # _run_grid, which builds every MapeGrid, names the first non-finite
-        # cell in grid order, (1, 0) before (1, 1), at any thread count
+        # _run_grid names the first non-finite cell in grid order, (1, 0)
+        # before (1, 1), at any thread count
         g = grid([0.0, 0.5], [1.0, 5.0], n=4)
 
         def cell(l, m, scratch):
@@ -374,7 +388,6 @@ class TestMapeGrid:
         for threads in (1, 3):
             with pytest.raises(NumericalError, match=r"^non-finite MAPE at rho=0\.5, alpha=1\.0"):
                 _run_grid(g, cell, threads)
-        assert isinstance(_run_grid(g, lambda l, m, scratch: (1.0, 1.0)), MapeGrid)
 
 
 class TestMapeOption:
@@ -382,26 +395,26 @@ class TestMapeOption:
 
     def test_near_one_alpha_band(self, section3_pair):
         g = grid([1.0], [0.8, 0.95, 1.0], n=10000)
-        result = mape_option(section3_pair, self.SPEC, g)
-        assert result.grid[0, 0] < 40.0   # alpha = 0.8
-        assert result.grid[0, 1] < 10.0   # alpha = 0.95
-        assert result.grid[0, 2] < 10.0   # alpha = 1.0
+        mape, _ = mape_option(section3_pair, self.SPEC, g)
+        assert mape[0, 0] < 40.0   # alpha = 0.8
+        assert mape[0, 1] < 10.0   # alpha = 0.95
+        assert mape[0, 2] < 10.0   # alpha = 1.0
 
     def test_far_from_one_error_exceeds_100(self, section3_pair):
-        result = mape_option(section3_pair, self.SPEC, grid([-1.0], [0.5], n=10000))
-        assert result.grid[0, 0] > 100.0
+        mape, _ = mape_option(section3_pair, self.SPEC, grid([-1.0], [0.5], n=10000))
+        assert mape[0, 0] > 100.0
 
     def test_rho_sign_asymmetry(self, section3_pair):
-        result = mape_option(section3_pair, self.SPEC, grid([-0.5, 0.5], [1.0], n=10000))
-        assert result.grid[0, 0] != result.grid[1, 0]
+        mape, _ = mape_option(section3_pair, self.SPEC, grid([-0.5, 0.5], [1.0], n=10000))
+        assert mape[0, 0] != mape[1, 0]
         # and the error falls as rho rises
-        assert result.grid[1, 0] < result.grid[0, 0]
+        assert mape[1, 0] < mape[0, 0]
 
     def test_deterministic(self, section3_pair):
         g = grid([0.3], [1.1], n=3000)
-        r1 = mape_option(section3_pair, self.SPEC, g)
-        r2 = mape_option(section3_pair, self.SPEC, g, threads=3)
-        assert np.array_equal(r1.grid, r2.grid)
+        mape1, _ = mape_option(section3_pair, self.SPEC, g)
+        mape2, _ = mape_option(section3_pair, self.SPEC, g, threads=3)
+        assert np.array_equal(mape1, mape2)
 
 
 class TestSpotScaling:
@@ -421,18 +434,18 @@ class TestSpotScaling:
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_option_cells_invariant(self, section3_pair, lam):
         spec = TestMapeOption.SPEC
-        ref = mape_option(section3_pair, spec, self.G)
-        got = mape_option(self.scaled(section3_pair, lam),
-                          replace(spec, strike=lam * spec.strike), self.G)
-        np.testing.assert_allclose(got.grid, ref.grid, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(got.standard_errors, ref.standard_errors, rtol=1e-12, atol=0)
+        ref, ref_se = mape_option(section3_pair, spec, self.G)
+        got, got_se = mape_option(self.scaled(section3_pair, lam),
+                                  replace(spec, strike=lam * spec.strike), self.G)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got_se, ref_se, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_asset_cells_bit_identical(self, section3_pair, lam):
-        ref = mape_asset(section3_pair, self.G)
-        got = mape_asset(self.scaled(section3_pair, lam), self.G)
-        assert got.grid.tobytes() == ref.grid.tobytes()
-        assert got.standard_errors.tobytes() == ref.standard_errors.tobytes()
+        ref, ref_se = mape_asset(section3_pair, self.G)
+        got, got_se = mape_asset(self.scaled(section3_pair, lam), self.G)
+        assert got.tobytes() == ref.tobytes()
+        assert got_se.tobytes() == ref_se.tobytes()
 
 
 class TestDriftInvariance:
@@ -473,10 +486,10 @@ class TestDriftInvariance:
     @pytest.mark.parametrize("mu_i", MU_I)
     def test_asset_grid_invariant(self, section3_pair, mu_i):
         g = grid(self.RHOS, self.ALPHAS, n=4000)
-        ref = mape_asset(section3_pair, g)
-        got = mape_asset(self.at_drift(section3_pair, mu_i), g)
-        assert got.grid.tobytes() == ref.grid.tobytes()
-        assert got.standard_errors.tobytes() == ref.standard_errors.tobytes()
+        ref, ref_se = mape_asset(section3_pair, g)
+        got, got_se = mape_asset(self.at_drift(section3_pair, mu_i), g)
+        assert got.tobytes() == ref.tobytes()
+        assert got_se.tobytes() == ref_se.tobytes()
 
 
 def with_sigma_j(base, sigma_j):
@@ -488,9 +501,9 @@ class TestSigmaSweep:
     def test_ordering_in_sigma_j(self, section3_pair):
         g = grid([0.0, 0.5, 1.0], [0.7, 1.0, 1.3], n=10000)
         low, mid, high = (mape_asset(with_sigma_j(section3_pair, s), g) for s in (0.2, 0.4, 0.6))
-        for a, b in ((low, mid), (mid, high)):
-            slack = 2 * (a.standard_errors + b.standard_errors)
-            assert np.all(b.grid + slack >= a.grid)
+        for (a, a_se), (b, b_se) in ((low, mid), (mid, high)):
+            slack = 2 * (a_se + b_se)
+            assert np.all(b + slack >= a)
 
     def test_identical_sigmas_identical_grids(self, tmp_path):
         # every swept grid reads the same draw, so a repeated sigma_j repeats its rows
@@ -503,7 +516,8 @@ class TestSigmaSweep:
     def test_perfect_twin_zero_for_all_sigmas(self, section3_pair):
         g = grid([1.0], [1.0], n=5000)
         for sigma_j in (0.2, 0.4, 0.6):
-            assert mape_asset(with_sigma_j(section3_pair, sigma_j), g).grid[0, 0] <= 1e-8
+            mape, _ = mape_asset(with_sigma_j(section3_pair, sigma_j), g)
+            assert mape[0, 0] <= 1e-8
 
     def test_rejects_nonpositive_sigma(self, section3_pair):
         with pytest.raises(InvalidParameterError):

@@ -56,9 +56,9 @@ class TestNormalCdf:
                      horizon=0.25, master_seed=5)
 
         def values():
-            grid = mape_option(section3_pair, spec, g)
+            mape, se = mape_option(section3_pair, spec, g)
             return (bs_call(90.0, spec, 0.4), twin_call(pair, alpha(pair), spec, log_b).tobytes(),
-                    grid.grid.tobytes(), grid.standard_errors.tobytes())
+                    mape.tobytes(), se.tobytes())
 
         expected = values()
 

@@ -51,11 +51,12 @@ class TestAlpha:
         assert alpha(doubled) == pytest.approx(2 * alpha(section3_pair), rel=1e-15)
 
     def test_zero_drift_undefined(self):
-        # alpha divides by mu_i, so TwinPair rejects mu_i = 0 up front.
+        # alpha divides by sigma_j*mu_i, so it rejects mu_i = 0 itself;
+        # the pair, which checks rho alone, may hold it
         a = AssetParams(mu=0.0, sigma=0.2, spot=50.0)
         b = AssetParams(mu=0.2, sigma=0.2, spot=50.0)
         with pytest.raises(InvalidParameterError):
-            TwinPair(asset_i=a, asset_j=b, rho=0.0)
+            alpha(TwinPair(asset_i=a, asset_j=b, rho=0.0))
 
     @given(mu_i=finite_drift, mu_j=finite_drift, sig_i=vol, sig_j=vol,
            s_i=price, s_j=price, rho=corr)
