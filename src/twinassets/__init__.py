@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.6.1"
+__version__ = "0.7.0"
 
 __all__ = [
     "AssetParams",

@@ -39,13 +39,13 @@ _MODES = {"asset": (40000, ""), "option": (10000, ""), "sigma-sweep": (40000, ",
           "horizon-compare": (40000, ",horizon")}
 
 
-def _positive(convert: Callable[[str], float]) -> Callable[[str], float]:
-    """`convert`, then a check that its value is > 0 (nan is not)."""
+def _checked(convert: Callable[[str], int], rule: str, holds: Callable) -> Callable[[str], int]:
+    """`convert`, then a check that its value `holds`, the `rule` of the message."""
 
-    def checked(text: str) -> float:
+    def checked(text: str) -> int:
         value = convert(text)
-        if not value > 0:
-            raise InvalidParameterError(f"must be > 0, got {value}")
+        if not holds(value):
+            raise InvalidParameterError(f"must be {rule}, got {value}")
         return value
 
     return checked
@@ -99,7 +99,7 @@ _COMMANDS = {  # each subcommand's help line and readers
 }
 _PAIR = ("simulate", "price")  # a mape cell takes its rho and alpha from the grids
 _ALL = (*_PAIR, *_MAPE)
-_PRICED = (*_PAIR, "option")  # an asset cell reads sigma_j alone of the assets
+_PRICED = (*_PAIR, "option")  # an asset cell reads sigma_j alone; S_i cancels from a price
 
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
@@ -110,7 +110,7 @@ OPTIONS = {
     "sigma_i": Option(float, 0.2, _PRICED, "volatility of asset i"),
     "sigma_j": Option(float, 0.4, (*_PAIR, "asset", "option", "horizon-compare"),
                       "volatility of asset j"),
-    "spot_i": Option(float, 80.0, _PRICED, "spot price of asset i"),
+    "spot_i": Option(float, 80.0, ("simulate",), "spot price of asset i"),
     "spot_j": Option(float, 90.0, _PRICED, "spot price of asset j"),
     "rho": Option(float, 1.0, _PAIR, "return correlation"),
     "alpha": Option(lambda text: _check_alpha(float(text)), None, _PAIR,
@@ -118,12 +118,12 @@ OPTIONS = {
     "steps": Option(int, 252, ("simulate",), "number of time steps"),
     "dt": Option(float, ONE_DAY, ("simulate",), "step size in years"),
     "horizon": Option(float, ONE_DAY, ("asset", "sigma-sweep"), "prediction horizon (years)"),
-    "n": Option(_positive(int), None, ("price", *_MAPE),
+    "n": Option(_checked(int, "> 0", lambda n: n > 0), None, ("price", *_MAPE),
                 "number of replications (per cell in mape)"),
     "strike": Option(float, 90.0, ("price", "option"), "call strike"),
     "rate": Option(float, 0.05, ("price", "option"), "risk-free rate"),
     "maturity": Option(float, 0.25, ("price", "option"), "call maturity (years)"),
-    "seed": Option(int, 12345, _ALL, "master seed"),
+    "seed": Option(_checked(int, ">= 0", lambda seed: seed >= 0), 12345, _ALL, "master seed"),
     "threads": Option(_threads, 1, _MAPE, "worker threads or 'auto'"),
     "mode": Option(str, "asset", _MAPE, "one of " + ", ".join(_MODES)),
     "rho_grid": Option(_each(_check_rho), _values("-1:1:21"), _MAPE, "'lo:hi:count' or comma list"),

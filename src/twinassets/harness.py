@@ -203,7 +203,7 @@ def mape_option(base: TwinPair, spec: OptionSpec, grid: GridSpec,
     computed once; only the twin estimate varies per replication, through
     log B over the option maturity, so the grid horizon is not read. A
     benchmark that is not finite and > 0 leaves every APE undefined, and
-    fails before the draw. Of base, sigma_i, sigma_j and both spots are read.
+    fails before the draw. Of base, sigma_i, sigma_j and spot_j are read.
 
     The draw is permuted once into the locality order (see the module
     docstring), which keeps neighbours close in the (z_x, z_y) plane and

@@ -23,5 +23,5 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     paths yield statistically independent streams (SeedSequence hashing).
     """
     if master_seed < 0:
-        raise ValueError("master seed must be non-negative")
+        raise ValueError(f"master seed must be non-negative, got {master_seed}")
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, path)]))

@@ -108,7 +108,7 @@ GATE = {
     "--mu-j": "++pppp",
     "--sigma-i": "++m+mm",
     "--sigma-j": "++++m+",
-    "--spot-i": "++m+mm",
+    "--spot-i": "+ppppp",
     "--spot-j": "++m+mm",
     "--rho": "++pppp",
     "--alpha": "++pppp",
@@ -139,7 +139,7 @@ CONVERSION_ERRORS = [
     ("mu_j", ("price",), "x", FLOAT),
     ("sigma_i", ("price",), "x", FLOAT),
     ("sigma_j", ("simulate",), "x", FLOAT),
-    ("spot_i", ("mape", "--mode", "option"), "x", FLOAT),
+    ("spot_i", ("simulate",), "x", FLOAT),
     ("spot_j", ("price",), "x", FLOAT),
     ("rho", ("simulate",), "x", FLOAT),
     ("alpha", ("price",), "x", FLOAT),
@@ -158,6 +158,7 @@ CONVERSION_ERRORS = [
     ("rate", ("price",), "x", FLOAT),
     ("maturity", ("price",), "x", FLOAT),
     ("seed", ("simulate",), "x", INT),
+    ("seed", ("price",), "-1", "must be >= 0, got -1"),
     ("threads", ("mape",), "x", INT),
     ("rho_grid", ("mape",), "x", FLOAT),
     ("rho_grid", ("mape",), "0:1", "grid must be lo:hi:count, got '0:1'"),
@@ -396,8 +397,8 @@ class TestPrice:
         assert captured.out == ""
 
     def test_wide_volatility_price_is_finite(self, capsys):
-        # sigma_j = 30 over five years: A*B underflows and the growth factor
-        # overflows on their own, but the forward's log sum stays in range
+        # sigma_j = 30 over five years: A*B underflows and S_i^e*growth
+        # overflows on their own, but the twin's log forward stays in range
         code = main("price --alpha 1 --rho 0 --sigma-j 30 --maturity 5 --n 100".split())
         assert code == 0
         record = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
@@ -565,6 +566,15 @@ class TestMape:
             "error: numerical: non-finite MAPE at rho=0.0, alpha=1.0: ")
         assert not out.exists()
 
+    def test_subnormal_sigma_j_prices_at_the_limit(self, tmp_path):
+        # v = alpha*sigma_j*sqrt(tau) is 5e-301: d2 = 0, so the twin price is
+        # F/2 - F/2 = 0 and every APE is 1, the limit of the cell as sigma_j
+        # falls (99.999999999998735 before 0.7.0, from 1e-17 down)
+        argv = "mape --mode option --sigma-j 1e-300 --rho-grid 0 --alpha-grid 1 --n 2"
+        code, out = run(tmp_path, *argv.split())
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "0,1,100,0"
+
     def test_subnormal_sigma_j_swept(self, tmp_path):
         argv = "mape --mode sigma-sweep --sigma-j-values 0.2,5e-324 --rho-grid 0 --alpha-grid 1"
         code, out = run(tmp_path, *argv.split(), "--n", "10")
@@ -607,8 +617,9 @@ class TestMetamorphic:
     sigma, tau and r only through sigma*sqrt(tau), sigma^2*tau and r*tau,
     and each of those is formed with the same roundings after the time
     rescaling by c = 4 (sigma / 2, r / 4, tau * 4: every factor a power of
-    2), so the bytes are the same. The option surface depends on spot_j and
-    the strike only through their ratio, up to the rounding of their logs."""
+    2), so the bytes are the same. An option cell reads spot_j and the
+    strike through their ratio, and otherwise scales both prices by spot_j,
+    so doubling both (a power of 2 again) gives the same bytes too."""
 
     GRID = ("--rho-grid=-1:1:5", "--alpha-grid", "0.5:1.5:5", "--n", "2000", "--seed", "4")
 
@@ -631,15 +642,9 @@ class TestMetamorphic:
         assert rescaled == quarter
 
     def test_option_spot_j_and_strike_doubled(self, tmp_path):
-        def values(data):
-            return np.array([[float(v) for v in line.split(",")]
-                             for line in data.decode().splitlines()[1:]])
-
-        base = values(self.surface(tmp_path, "--mode", "option"))
-        doubled = values(self.surface(tmp_path, "--mode", "option", "--spot-j", "180",
-                                      "--strike", "180"))
-        # measured: at most 7.1e-15 relative
-        assert np.all(np.abs(doubled - base) <= 1e-14 * np.abs(base))
+        base = self.surface(tmp_path, "--mode", "option")
+        doubled = self.surface(tmp_path, "--mode", "option", "--spot-j", "180", "--strike", "180")
+        assert doubled == base
 
 
 class TestConfigAndErrors:
@@ -784,6 +789,9 @@ class TestFlagsPerSubcommand:
         (["mape", "--sigma-i", "0.2"], "--sigma-i"),
         (["mape", "--mode", "sigma-sweep", "--spot-i", "80"], "--spot-i"),
         (["mape", "--mode", "horizon-compare", "--spot-j", "90"], "--spot-j"),
+        # S_i cancels from the twin price
+        (["price", "--spot-i", "80"], "--spot-i"),
+        (["mape", "--mode", "option", "--spot-i", "80"], "--spot-i"),
     ])
     def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out.csv"

@@ -44,8 +44,9 @@ RATE = domain(st.floats(-0.5, 0.5), [0.0], [-50.0])
 N = st.sampled_from([1, 2, 200])
 SEED = st.integers(0, 2**31)
 
-# the asset options of the twin price; a `mape` asset cell reads sigma_j alone
-PRICED = {"sigma_i": VOL, "sigma_j": VOL, "spot_i": PRICE, "spot_j": PRICE}
+# the asset options of the twin price, in which S_i cancels; a `mape` asset
+# cell reads sigma_j alone
+PRICED = {"sigma_i": VOL, "sigma_j": VOL, "spot_j": PRICE}
 PAIR = {**PRICED, "mu_i": DRIFT, "rho": RHO, "seed": SEED}
 OPTION = {"strike": PRICE, "rate": RATE, "maturity": TIME}
 
@@ -63,7 +64,8 @@ def argv_of(command: str, flags: dict) -> list[str]:
 def simulate_argv():
     similarity = st.one_of(st.fixed_dictionaries({"alpha": ALPHA}),
                            st.fixed_dictionaries({"mu_j": DRIFT}))
-    flags = st.fixed_dictionaries({**PAIR, "steps": st.sampled_from([1, 2, 200]), "dt": TIME})
+    flags = st.fixed_dictionaries({**PAIR, "spot_i": PRICE, "steps": st.sampled_from([1, 2, 200]),
+                                   "dt": TIME})
     return st.builds(lambda f, s: argv_of("simulate", {**f, **s}), flags, similarity)
 
 

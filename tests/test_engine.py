@@ -62,6 +62,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError, match="alpha is undefined"):
             alpha(TwinPair(asset_i=a, asset_j=b, rho=0.5))
 
+    def test_negative_master_seed_named_with_its_value(self):
+        with pytest.raises(ValueError, match="^master seed must be non-negative, got -1$"):
+            substream(-1, STREAM_PATHS)
+
 
 class TestNoiseDraw:
     def test_draws_z_x_then_z_y(self):

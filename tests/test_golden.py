@@ -46,6 +46,16 @@ some labels by an ulp. That round trip, patched into the grids, must
 still give each `mape` command's 0.5.8 hash; the 0.6.0 values must agree
 with it to 1e-13 relative, and only rows whose label did not survive the
 round trip may differ (`test_exact_alpha_is_the_only_change_since_0_5_8`).
+
+Version 0.7.0 prices the twin call as Black-Scholes at the twin's spot and
+volatility, a form in which S_i cancels. That changed the last digits of
+`price` and `mape --mode option`, and nothing else. The 0.3.0 to 0.6.1
+twin call is kept here as `log_space_twin_call`: patched into the CLI, it
+must still give the 0.6.1 hashes (`LOG_SPACE_0_6_1`), the 0.7.0 values
+must agree with it to 1e-13 relative, and every other golden command must
+give the same bytes with it (`test_black_scholes_form_is_the_only_change_since_0_6_1`).
+The 0.5.8 and 0.3.0 comparisons run on it, since their pins were taken
+on it.
 """
 
 import functools
@@ -63,9 +73,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinassets import AssetParams, TwinPair, cli, harness
+from twinassets import AssetParams, TwinPair, cli, harness, pricing
 from twinassets.pricing import normal_cdf
-from twinassets.twin import alpha
+from twinassets.twin import alpha, deterministic_term, twin_exponent
 from test_cli import readme_commands
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -95,8 +105,8 @@ GOLDEN = {
         "84717cd5e0101b5db69a8cfaf7299b701f6f1420215ad94a26b1c52fc61739c4",
         "f0b04edb383d16c10d11cfb07ba603256cfc2181bc8ef9843617a6527c176e89")),
     "price --alpha 1.1 --rho 0.8 --n 10000 --seed 42": (0, (
-        "8ced8143652a4febf855e2b4c40045806cf9404afd77bd014e78ee9b5ca4e9ff",
-        "8ced8143652a4febf855e2b4c40045806cf9404afd77bd014e78ee9b5ca4e9ff")),
+        "766f90abfc75c6bad118083dadab7e5b52f8cbf9e570086c04d9dd835dc03bf1",
+        "766f90abfc75c6bad118083dadab7e5b52f8cbf9e570086c04d9dd835dc03bf1")),
     ASSET_GRID: (0, (
         "53552cd71ed5242d3f61b53c781378a55a6bef0efff7e1c490b66365a60d6740",
         "286eb8297188768a1e40d6c763169ff28d5d31ae887ca24aedd95e60c08d2803")),
@@ -104,8 +114,8 @@ GOLDEN = {
         "25d444274ed81a0a128573b83da7e6b3bd3cf7be0c0e72e5068c99cf2d8b0ca5",
         "50c6cf116f8b838958597e274cc0f4d48faac59d479df3d7b78c7e166252fcf8")),
     OPTION_GRID: (0, (
-        "ed1e6297305a207bc89b1868f37a443e70993d7af6f44d3d5ae09ca4bfd49916",
-        "872142642148d8b38804c2b6c56fafcad64e729ce6384b319fecfe3e8f4e3249")),
+        "e3c23f5f13e0f103b9ac21629c70ed5fd9fd953f9c4da4fb538f3657aeb1eff1",
+        "1c2b8c46c8998db1bf4ee6df24b07fcbe968fb723308a9699271750ab61a5689")),
     MINUTE_PATH: (0, (
         "d0af3e11d26637c7c435be8e29620489f68ac38f9f11ebe378296fa4adda6f08",
         "a2c6d94c84a358b175022c8e7edad62504f329e5139d30094fb825340ba31916")),
@@ -116,8 +126,8 @@ GOLDEN = {
         "46040d29484b3245f23a831093b65827aceb6cceaab42a7e54c1630c86bb3733",
         "0232945194f429c4a63df4c7b83ae2cf12c554851dc518d6d0cfd07631f8eb05")),
     "price": (0, (
-        "537d60bed63263b3bbbc3a37cec9cf2a1e6160fb15812d02b5bce088a978df66",
-        "537d60bed63263b3bbbc3a37cec9cf2a1e6160fb15812d02b5bce088a978df66")),
+        "c5027d18b1f74b5b54e839d509ff668b80655f4a04aeb85c61f29138750cecc0",
+        "c5027d18b1f74b5b54e839d509ff668b80655f4a04aeb85c61f29138750cecc0")),
     "simulate": (0, (
         "aa66c4a84caf3d78c54d2f8955e5e6c6c0906543a660693886bdef270cadd5b3",
         "47557c4922c600b07518795958e7b551d6820eeb8f113a05dd638ef2e56ee2e6")),
@@ -144,6 +154,19 @@ PRODUCT_FORM_0_2_0 = {
         "8794cd21fa0290658b1938e29651c4940aa07a9b81bebcc166c25dcc5207f8f3"),
 }
 
+# argv: the hashes of 0.6.1 on the two paths, the commands that 0.7.0 re-pinned
+LOG_SPACE_0_6_1 = {
+    "price --alpha 1.1 --rho 0.8 --n 10000 --seed 42": (
+        "8ced8143652a4febf855e2b4c40045806cf9404afd77bd014e78ee9b5ca4e9ff",
+        "8ced8143652a4febf855e2b4c40045806cf9404afd77bd014e78ee9b5ca4e9ff"),
+    "price": (
+        "537d60bed63263b3bbbc3a37cec9cf2a1e6160fb15812d02b5bce088a978df66",
+        "537d60bed63263b3bbbc3a37cec9cf2a1e6160fb15812d02b5bce088a978df66"),
+    OPTION_GRID: (
+        "ed1e6297305a207bc89b1868f37a443e70993d7af6f44d3d5ae09ca4bfd49916",
+        "872142642148d8b38804c2b6c56fafcad64e729ce6384b319fecfe3e8f4e3249"),
+}
+
 # argv: the hashes of 0.5.8 on the two paths
 ROUND_TRIP_0_5_8 = {
     ASSET_GRID: (
@@ -164,8 +187,9 @@ ROUND_TRIP_0_5_8 = {
 }
 
 # the largest distance in ulps between the two paths' values, by subcommand;
-# measured: 32 on the minute path (15 on the 252-step runs), 0 and 4
-ULPS = {"simulate": 32, "price": 0, "mape": 4}
+# measured: 32 on the minute path (15 on the 252-step runs), 0 and 3 (4 on the
+# option grid of 0.6.1)
+ULPS = {"simulate": 32, "price": 0, "mape": 3}
 
 
 def run(argv: str) -> tuple[int, bytes]:
@@ -240,6 +264,39 @@ PRODUCT_FORM = {
 }
 
 
+def log_space_twin_call(pair, a, spec, log_b):
+    """The 0.3.0 to 0.6.1 twin call: the forward S_i*exp(log(A*B) + growth)
+    as one exp of a log sum that holds e*log S_i, and g2 through the
+    transformed strike K/(A*B), with the operations of 0.6.1."""
+    tau, rate = spec.maturity, spec.rate
+    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
+    log_ab = deterministic_term(pair, a, tau) + log_b
+    log_spot = np.log(pair.asset_i.spot)
+    e = twin_exponent(pair, a)
+    growth = (e - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
+    forward = pair.asset_i.spot * np.exp(log_ab + growth)
+    g2 = (log_spot - sig_i / (a * sig_j) * (np.log(spec.strike) - log_ab)
+          + (rate - 0.5 * sig_i**2) * tau) / (sig_i * np.sqrt(tau))
+    price = (normal_cdf(g2 + a * sig_j * np.sqrt(tau)) * forward
+             - spec.strike * np.exp(-rate * tau) * normal_cdf(g2))
+    return np.maximum(price, 0.0)
+
+
+def as_in_0_6_1(patch):
+    """The log-space twin call wherever the CLI prices, the Black-Scholes
+    benchmark (`bs_call`, which calls `pricing.twin_call`) included."""
+    for module in (cli, harness, pricing):
+        patch.setattr(module, "twin_call", log_space_twin_call)
+
+
+@functools.cache
+def log_space_output(argv: str) -> tuple[int, bytes]:
+    """argv's exit code and output as 0.6.1 computed them, run once per process."""
+    with pytest.MonkeyPatch.context() as patch:
+        as_in_0_6_1(patch)
+        return run(argv)
+
+
 def mean_std_with_noise_se(x):
     """`_mean_std` as 0.3.0 and earlier computed it: the SE of a run whose
     replications are all equal is formed from the data, as rounding noise."""
@@ -265,6 +322,7 @@ def alpha_through_mu_j(pair, a):
 
 
 def as_in_0_5_8(patch):
+    as_in_0_6_1(patch)
     for name in ("stochastic_term", "twin_call"):
         exact = getattr(harness, name)
         patch.setattr(harness, name, lambda pair, a, *args, exact=exact, **kwargs:
@@ -281,8 +339,9 @@ def values(data: bytes) -> np.ndarray:
 
 def record(path: str) -> None:
     """Write this process's fingerprint and the output of every golden
-    command, unpatched and as 0.2.0 and 0.5.8 computed it, to `path` as JSON."""
-    runs = {"now": {argv: run(argv) for argv in GOLDEN}, "0.2.0": {}, "0.5.8": {}}
+    command, unpatched and as 0.2.0, 0.5.8 and 0.6.1 computed it, to `path`
+    as JSON."""
+    runs = {"now": {argv: run(argv) for argv in GOLDEN}, "0.2.0": {}, "0.5.8": {}, "0.6.1": {}}
     for argv in PRODUCT_FORM_0_2_0:
         with pytest.MonkeyPatch.context() as patch:
             as_in_0_2_0(patch, argv)
@@ -291,6 +350,7 @@ def record(path: str) -> None:
         with pytest.MonkeyPatch.context() as patch:
             as_in_0_5_8(patch)
             runs["0.5.8"][argv] = run(argv)
+    runs["0.6.1"] = {argv: log_space_output(argv) for argv in LOG_SPACE_0_6_1}
     text = {kind: {argv: [code, data.decode()] for argv, (code, data) in outputs.items()}
             for kind, outputs in runs.items()}
     with open(path, "w", encoding="utf-8") as fh:
@@ -340,7 +400,8 @@ def test_golden_hash_with_avx512_off(argv, avx512_off):
 
 def test_older_hashes_with_avx512_off(avx512_off):
     path, runs = avx512_off
-    for kind, pins in (("0.2.0", PRODUCT_FORM_0_2_0), ("0.5.8", ROUND_TRIP_0_5_8)):
+    for kind, pins in (("0.2.0", PRODUCT_FORM_0_2_0), ("0.5.8", ROUND_TRIP_0_5_8),
+                       ("0.6.1", LOG_SPACE_0_6_1)):
         for argv, expected_sha in pins.items():
             assert sha256(runs[kind][argv][1]) == expected_sha[path], (kind, argv)
 
@@ -376,20 +437,37 @@ def test_log_space_within_1e13_of_product_form(argv, monkeypatch):
         assert sha256(old) == PRODUCT_FORM_0_2_0[argv][path_of(fingerprint())]
 
     new, old = values(new), values(old)
-    # An SE is compared on the scale of the estimate it belongs to: where
-    # every replication is the same, as at (rho, alpha) = (1, 1), it is
-    # rounding noise alone (1.8e-17 in the product form of `price`, 0 now).
+    assert np.all(np.abs(new - old) <= 1e-13 * estimate_scale(argv, old))
+
+
+def estimate_scale(argv: str, old: np.ndarray) -> np.ndarray:
+    """|old|, except that an SE is on the scale of the estimate it belongs
+    to: where every replication is the same, as at (rho, alpha) = (1, 1), it
+    is rounding noise alone (1.8e-17 in the product form of `price`, 0 now)."""
     scale = np.abs(old)
     if argv == OPTION_GRID:
         scale[:, 3] = np.maximum(scale[:, 3], scale[:, 2])  # se and mape
     elif argv.startswith("price"):
         scale[2] = max(scale[2], scale[1])  # twin_price_se and twin_price_mean
-    assert np.all(np.abs(new - old) <= 1e-13 * scale)
+    return scale
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_black_scholes_form_is_the_only_change_since_0_6_1(argv):
+    _, new = golden_output(argv)
+    if argv not in LOG_SPACE_0_6_1:
+        assert log_space_output(argv) == golden_output(argv)
+        return
+    _, old = log_space_output(argv)
+    assert sha256(old) == LOG_SPACE_0_6_1[argv][path_of(fingerprint())]
+    new, old = values(new), values(old)
+    assert np.all(np.abs(new - old) <= 1e-13 * estimate_scale(argv, old))
 
 
 @pytest.mark.parametrize("argv", list(ROUND_TRIP_0_5_8))
 def test_exact_alpha_is_the_only_change_since_0_5_8(argv, monkeypatch):
-    _, new = golden_output(argv)
+    # against 0.6.1, where 0.7.0 changed the command
+    _, new = (log_space_output if argv in LOG_SPACE_0_6_1 else golden_output)(argv)
     with monkeypatch.context() as patch:
         as_in_0_5_8(patch)
         _, old = run(argv)
@@ -414,8 +492,10 @@ def test_exact_alpha_is_the_only_change_since_0_5_8(argv, monkeypatch):
 
 
 def test_deterministic_se_is_the_only_change_since_0_3_0(monkeypatch):
-    _, new = golden_output(OPTION_GRID)
+    # on the twin call of 0.6.1, the last form that the 0.3.0 bytes were checked on
+    _, new = log_space_output(OPTION_GRID)
     with monkeypatch.context() as patch:
+        as_in_0_6_1(patch)
         without_deterministic_se(patch)
         _, old = run(OPTION_GRID)
     old_rows = old.decode().splitlines(keepends=True)
