@@ -11,13 +11,13 @@ try:
     from .errors import InvalidParameterError, NumericalError, TwinAssetsError
     from .harness import GridSpec, mape_asset, mape_option
     from .pricing import OptionSpec, bs_call, normal_cdf, twin_call
-    from .twin import alpha, deterministic_term, predict_twin, stochastic_term
+    from .twin import alpha, predict_twin, stochastic_term
 finally:
     gc.freeze()
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "AssetParams",
@@ -30,7 +30,6 @@ __all__ = [
     "TwinPair",
     "alpha",
     "bs_call",
-    "deterministic_term",
     "mape_asset",
     "mape_option",
     "normal_cdf",

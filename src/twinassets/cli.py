@@ -198,7 +198,8 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 def _build_pair(opts: dict) -> TwinPair:
     """The pair of the options, with the defaults of those a `mape` mode does
-    not read; alpha, when given, then sets mu_j, so other faults are named as
+    not read; alpha, when given, then sets mu_j for `simulate`'s path of asset
+    j (the twin relation takes alpha as given), so other faults are named as
     without it, and a mu_j that overflows is named by alpha's flag or line."""
     with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
@@ -243,7 +244,7 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def run_simulate(opts: dict) -> str:
     pair = _build_pair(opts)
-    a = alpha(pair)
+    a = opts["alpha"] or alpha(pair)  # as given (never 0), else of the drifts
     steps, dt = opts["steps"], opts["dt"]
     times, path_i, path_j = simulate_paths(pair, steps, dt, opts["seed"])
 
@@ -277,7 +278,7 @@ def run_simulate(opts: dict) -> str:
 
 def run_price(opts: dict) -> str:
     pair = _build_pair(opts)
-    a = alpha(pair)
+    a = opts["alpha"] or alpha(pair)
     spec = OptionSpec(strike=opts["strike"], maturity=opts["maturity"], rate=opts["rate"])
     n = opts["n"] or 10000
 

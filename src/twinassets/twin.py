@@ -4,16 +4,15 @@ alpha is the ratio of the two assets' coefficients of variation
 (sigma/mu); together with the return correlation rho it controls how
 faithfully asset i proxies asset j. The approximation factors into a
 deterministic term A and a stochastic term B driven by two fresh
-independent noises. The relation is evaluated only in log space, as
-log A + log B + e*log S_i with e = alpha*sigma_j/sigma_i, so S_i^e never
-has to be representable on its own: `deterministic_term` and
-`stochastic_term` return log A and log B (the one log-B formula, which
-every caller uses), and `predict_twin` exponentiates the sum. Each term
-takes alpha as given and reads no drift: a MAPE cell passes its alpha
-label, `simulate` and `price` the `alpha(pair)` of their drifts, the one
-formula that divides by sigma_j*mu_i and so the one that checks it. With the
-fresh noises replaced by the pair's own driving noises the relation is
-an exact identity; the residual oracle that checks it lives with the
+independent noises, e = alpha*sigma_j/sigma_i. A holds S_j(0)*S_i(0)^-e,
+so `predict_twin` reads S_i only through its return S_i/S_i(0) and forms
+neither A nor S_i^e; `stochastic_term` returns log B (the one log-B
+formula, which every caller uses). Each term takes alpha as given and
+reads no drift: a MAPE cell passes its alpha label, `simulate` and
+`price` their `--alpha`, else the `alpha(pair)` of their drifts, the one
+formula that divides by sigma_j*mu_i and so the one that checks it. With
+the fresh noises replaced by the pair's own driving noises the relation
+is an exact identity; the residual oracle that checks it lives with the
 tests (`tests/conftest.py`).
 """
 
@@ -43,22 +42,6 @@ def alpha(pair: TwinPair) -> float:
 def twin_exponent(pair: TwinPair, alpha: float) -> float:
     """Power alpha*sigma_j/sigma_i applied to S_i in the approximation."""
     return alpha * pair.asset_j.sigma / pair.asset_i.sigma
-
-
-def deterministic_term(pair: TwinPair, alpha: float, tau):
-    """log A = log spot_j - e*log spot_i + sigma_j*(alpha*sigma_i - sigma_j)*tau/2.
-
-    tau may be a scalar or an array of horizons. Exactly 0 for identical
-    twins, so that in that limit the twin price is Black-Scholes exactly.
-    """
-    if not np.all(np.greater(tau, 0)):
-        raise InvalidParameterError(f"tau must be > 0, got {tau}")
-    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    return (
-        np.log(pair.asset_j.spot)
-        - twin_exponent(pair, alpha) * np.log(pair.asset_i.spot)
-        + 0.5 * sig_j * (alpha * sig_i - sig_j) * tau
-    )
 
 
 def stochastic_coefficients(pair: TwinPair, alpha: float, tau: float) -> tuple[float, float]:
@@ -92,10 +75,15 @@ def stochastic_term(pair: TwinPair, alpha: float, tau: float, z_x, z_y, out=None
 
 
 def predict_twin(pair: TwinPair, alpha: float, tau, s_i, log_b):
-    """Predicted S_j after horizon tau: exp(log A + log B + e*log S_i).
+    """Predicted S_j after horizon tau from S_i's return:
+    S_j(0)*exp(e*log(S_i/S_i(0)) + sigma_j*(alpha*sigma_i - sigma_j)*tau/2 + log B).
 
     log_b is the stochastic term log B of one draw (or an array of
     draws); tau and s_i may be scalars or arrays broadcasting against it.
     """
-    return np.exp(deterministic_term(pair, alpha, tau) + log_b
-                  + twin_exponent(pair, alpha) * np.log(s_i))
+    if not np.all(np.greater(tau, 0)):
+        raise InvalidParameterError(f"tau must be > 0, got {tau}")
+    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
+    return pair.asset_j.spot * np.exp(
+        twin_exponent(pair, alpha) * np.log(s_i / pair.asset_i.spot)
+        + 0.5 * sig_j * (alpha * sig_i - sig_j) * tau + log_b)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from twinassets import AssetParams, InvalidParameterError, NumericalError, TwinPair
-from twinassets.twin import alpha, deterministic_term, predict_twin, stochastic_term, twin_exponent
+from twinassets.twin import alpha, predict_twin, stochastic_term, twin_exponent
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -110,6 +110,16 @@ def unreduced_ape(pair, alpha_value, tau, z):
     return np.abs(predict_twin(pair, alpha_value, tau, s_i, log_b) - s_j) / s_j
 
 
+def log_a(pair, alpha_value, tau):
+    """log A = log S_j - e*log S_i + sigma_j*(alpha*sigma_i - sigma_j)*tau/2 with the
+    operations of `twin.deterministic_term` (0.6.0 to 0.7.0), which formed it in
+    the package; the package now reads S_i only through its return."""
+    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
+    return (np.log(pair.asset_j.spot)
+            - twin_exponent(pair, alpha_value) * np.log(pair.asset_i.spot)
+            + 0.5 * sig_j * (alpha_value * sig_i - sig_j) * tau)
+
+
 def twin_call_quadrature(pair, alpha_value, spec, log_b) -> float:
     """Twin call price at one scalar log B via adaptive quadrature of the
     risk-neutral integral:
@@ -129,7 +139,7 @@ def twin_call_quadrature(pair, alpha_value, spec, log_b) -> float:
     tau = spec.maturity
     sig_i = pair.asset_i.sigma
     expo = twin_exponent(pair, alpha_value)
-    log_ab = deterministic_term(pair, alpha_value, tau) + log_b
+    log_ab = log_a(pair, alpha_value, tau) + log_b
     # ln S_i at maturity is normal with this mean and standard deviation
     log_mean = math.log(pair.asset_i.spot) + (spec.rate - 0.5 * sig_i**2) * tau
     vol = sig_i * math.sqrt(tau)
@@ -183,14 +193,15 @@ def exact_relation_residual(pair, tau, z_j, z_tilde):
             return abs(float((sum(terms) - dec(s_j).ln()).exp() - 1))
     a = alpha(pair)
     log_b = stochastic_term(pair, a, tau, z_j, z_tilde)
-    log_prediction = deterministic_term(pair, a, tau) + log_b + twin_exponent(pair, a) * np.log(s_i)
+    log_prediction = log_a(pair, a, tau) + log_b + twin_exponent(pair, a) * np.log(s_i)
     return np.abs(np.expm1(log_prediction - np.log(s_j)))
 
 
-def decimal_twin_terms(pair, tau, s_i, w_x, w_y):
+def decimal_twin_terms(pair, tau, s_i, w_x, w_y, alpha_value=None):
     """Terms of the twin relation's log, log A + log B + e*log S_i, in
     decimal arithmetic from the exact values of the float inputs; w_x and
     w_y are the Wiener values of the fresh noises (z*sqrt(tau) for one draw).
+    alpha is alpha_value as given, else sigma_i*mu_j/(sigma_j*mu_i) in decimal.
 
     Returns (alpha, e, terms) as Decimals. Independent of the numpy code
     under test: `decimal` rounds ln, exp and sqrt correctly, so the sum of
@@ -200,7 +211,7 @@ def decimal_twin_terms(pair, tau, s_i, w_x, w_y):
     mu_i, mu_j = dec(pair.asset_i.mu), dec(pair.asset_j.mu)
     sig_i, sig_j = dec(pair.asset_i.sigma), dec(pair.asset_j.sigma)
     rho, tau = dec(pair.rho), dec(tau)
-    a = sig_i * mu_j / (sig_j * mu_i)
+    a = sig_i * mu_j / (sig_j * mu_i) if alpha_value is None else dec(alpha_value)
     e = a * sig_j / sig_i
     terms = (
         dec(pair.asset_j.spot).ln(),
@@ -212,13 +223,13 @@ def decimal_twin_terms(pair, tau, s_i, w_x, w_y):
     return a, e, terms
 
 
-def decimal_predict_twin(pair, tau, s_i, w_x, w_y):
+def decimal_predict_twin(pair, tau, s_i, w_x, w_y, alpha_value=None):
     """exp(log A + log B + e*log S_i) in decimal, and the sum of the
     terms' magnitudes, which scales the rounding error of a double
-    evaluation."""
+    evaluation; alpha as in `decimal_twin_terms`."""
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        _, _, terms = decimal_twin_terms(pair, tau, s_i, w_x, w_y)
+        _, _, terms = decimal_twin_terms(pair, tau, s_i, w_x, w_y, alpha_value)
         return float(sum(terms).exp()), float(sum(abs(t) for t in terms))
 
 

@@ -16,7 +16,6 @@ def test_all_is_the_public_api():
         "TwinPair",
         "alpha",
         "bs_call",
-        "deterministic_term",
         "mape_asset",
         "mape_option",
         "normal_cdf",

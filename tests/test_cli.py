@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import decimal_predict_twin, decimal_twin_call
+from conftest import decimal_predict_twin, decimal_twin_call, decimal_twin_terms
 from twinassets import (
     AssetParams,
     NoiseDraw,
@@ -19,6 +19,7 @@ from twinassets import (
     stochastic_term,
     twin_call,
 )
+from twinassets import cli
 from twinassets.cli import _build_pair, _fmt, _merged_options, _rows, build_parser, main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
@@ -81,8 +82,6 @@ NAMED_USAGE_ERRORS = {
     # another input is named as it is without alpha
     "price --alpha 1 --sigma-j -1": "asset j: sigma must be > 0, got -1.0",
     "price --alpha 0": "--alpha: alpha must be finite and > 0, got 0.0",
-    "simulate --mu-i 0 --alpha 1":
-        "alpha is undefined: sigma_j*mu_i = 0 at mu_i = 0.0, sigma_j = 0.4",
     "price --config {cfg}": "{cfg}:2: n: invalid literal for int() with base 10: 'abc'",
     "simulate --spot-i -5": "asset i: spot must be > 0, got -5.0",
     "simulate --spot-j 0": "asset j: spot must be > 0, got 0.0",
@@ -289,8 +288,32 @@ class TestSimulate:
         w_y = np.cumsum(np.sqrt(1 / 252) * rng.standard_normal(5))
         pair = default_pair(400.0)
         for (t, s_i, _, predicted), wx, wy in zip(rows[1:], w_x, w_y):
-            exact, magnitude = decimal_predict_twin(pair, t, s_i, wx, wy)
+            exact, magnitude = decimal_predict_twin(pair, t, s_i, wx, wy, 400.0)
             assert abs(predicted - exact) <= LOG_SUM_ROUNDINGS * EPS * magnitude * exact
+
+    @pytest.mark.parametrize("argv, alpha_value, statistic, bound", [
+        # the 0.7.0 form, log A + log B + e*log S_i at the alpha of the drifts,
+        # gave a median of 7.4e-16 and a max of 8.0e-13
+        ("simulate", 1.0, np.median, 2.5e-16),
+        ("simulate --alpha 400 --steps 5", 400.0, np.max, 1e-13),
+    ])
+    def test_prediction_error_against_the_decimal_relation(self, argv, alpha_value, statistic,
+                                                           bound, capsys):
+        # each s_j_predicted against the relation at alpha, in 50-digit decimal
+        # from the printed s_i and the walks of the fresh noises
+        assert main(argv.split()) == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in capsys.readouterr().out.splitlines()[2:]])
+        rng = substream(12345, STREAM_DRAWS)
+        w_x, w_y = np.cumsum(np.sqrt(1 / 252) * rng.standard_normal((2, len(rows))), axis=1)
+        pair = default_pair(alpha_value)
+        errors = []
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for (t, s_i, _, predicted), wx, wy in zip(rows, w_x, w_y):
+                _, _, terms = decimal_twin_terms(pair, t, s_i, wx, wy, alpha_value)
+                errors.append(float(abs(decimal.Decimal(predicted) / sum(terms).exp() - 1)))
+        assert statistic(errors) <= bound
 
     @pytest.mark.parametrize("rho, alpha_value", [(0.8, 1.1), (-0.5, 1.4)])
     def test_prediction_log_error_law(self, rho, alpha_value, capsys):
@@ -340,8 +363,7 @@ class TestPrice:
         spec = OptionSpec(strike=90.0, maturity=0.25, rate=0.05)
         draw = NoiseDraw.sample(substream(3, STREAM_PRICE), n)
         pair = default_pair(alpha_value, rho=rho)
-        # `price` forms alpha from the drifts of its pair, whose mu_j --alpha set
-        a = alpha(pair)
+        a = alpha_value  # as given
         prices = twin_call(pair, a, spec, stochastic_term(pair, a, 0.25, draw.z_x, draw.z_y))
         deterministic = n == 1 or (rho, alpha_value) == (1.0, 1.0)
         se = 0.0 if deterministic else np.std(prices, ddof=1) / np.sqrt(n)
@@ -381,7 +403,7 @@ class TestPrice:
         captured = capsys.readouterr()
         assert code == 4
         expected = {
-            "price": "non-finite twin price at alpha = 39.99",
+            "price": "non-finite twin price at alpha = 40.0, rho = 0.0",
             "mape": "non-finite MAPE at rho=0.0, alpha=40.0",
         }[argv.split()[0]]
         assert expected in captured.err
@@ -428,7 +450,8 @@ class TestPrice:
 
 class TestAlphaSetsMuJ:
     """`--alpha` sets mu_j = alpha*sigma_j*mu_i/sigma_i on a `simulate` or
-    `price` pair, whose alpha the run then forms from the drifts."""
+    `price` pair, for `simulate`'s path of asset j; the twin relation takes
+    alpha as given, and forms it from the drifts only without `--alpha`."""
 
     @staticmethod
     def pair(*flags):
@@ -444,6 +467,34 @@ class TestAlphaSetsMuJ:
     def test_round_trip(self, target):
         pair = self.pair("--alpha", repr(target), "--rho", "0.5")
         assert alpha(pair) == pytest.approx(target, rel=1e-12)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate --steps 2", "price --n 2"])
+    def test_relation_takes_alpha_as_given(self, command, source, tmp_path, monkeypatch):
+        # 1.3 does not survive mu_j and back: the drifts give another float
+        assert alpha(self.pair("--alpha", "1.3")) != 1.3
+        seen = []
+
+        def recording(pair, a, *args, **kwargs):
+            seen.append(a)
+            return stochastic_term(pair, a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "stochastic_term", recording)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 1.3\n")
+        given_by = ["--alpha", "1.3"] if source == "flag" else ["--config", str(cfg)]
+        code, _ = run(tmp_path, *command.split(), *given_by)
+        assert (code, seen) == (0, [1.3])
+
+    def test_zero_mu_i_with_alpha_given(self, tmp_path):
+        # alpha is not formed, so its denominator sigma_j*mu_i = 0 is never
+        # divided by; mu_j = alpha*sigma_j*mu_i/sigma_i = 0
+        assert self.pair("--mu-i", "0", "--alpha", "1").asset_j.mu == 0.0
+        code, out = run(tmp_path, "simulate", "--mu-i", "0", "--alpha", "1", "--steps", "3")
+        assert code == 0
+        rows = np.array([[float(v) for v in line.split(",")]
+                         for line in out.read_text().splitlines()[1:]])
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0)
 
 
 class TestMape:

@@ -56,6 +56,19 @@ must agree with it to 1e-13 relative, and every other golden command must
 give the same bytes with it (`test_black_scholes_form_is_the_only_change_since_0_6_1`).
 The 0.5.8 and 0.3.0 comparisons run on it, since their pins were taken
 on it.
+
+Version 0.8.0 predicts the twin from S_i's return S_i/S_i(0), and
+`simulate` and `price` take `--alpha` as given, where 0.7.0 set mu_j from
+it and read alpha back from the drifts. That changed the last
+digits of `simulate`'s `s_j_predicted`, and nothing else. The 0.7.0
+prediction, log A + log B + e*log S_i at the alpha of the drifts, is kept
+here as `as_in_0_7_0`: patched into the CLI, it must still give the 0.7.0
+hashes (`LOG_SPACE_0_7_0`), the 0.8.0 values must agree with it within
+the measured bounds (`CHANGE_SINCE_0_7_0`), and every other golden command
+must give the same bytes with it
+(`test_return_form_is_the_only_change_since_0_7_0`). The product form of
+0.2.0 needs no such emulation: at the alpha of its commands, 1 and 1.1,
+the round trip through mu_j is exact.
 """
 
 import functools
@@ -75,7 +88,8 @@ import pytest
 
 from twinassets import AssetParams, TwinPair, cli, harness, pricing
 from twinassets.pricing import normal_cdf
-from twinassets.twin import alpha, deterministic_term, twin_exponent
+from twinassets.twin import alpha, twin_exponent
+from conftest import log_a
 from test_cli import readme_commands
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -102,8 +116,8 @@ PATHS = {
 # argv: (exit code, (SHA-256 on the AVX-512 path, SHA-256 with AVX512_OFF))
 GOLDEN = {
     "simulate --rho 1 --alpha 1 --seed 42": (0, (
-        "84717cd5e0101b5db69a8cfaf7299b701f6f1420215ad94a26b1c52fc61739c4",
-        "f0b04edb383d16c10d11cfb07ba603256cfc2181bc8ef9843617a6527c176e89")),
+        "ce1e3f223c47c80914bb1f22feb3fb07e8a99f47eb081867af3844302399a55e",
+        "eb8975d4bc5f3e99bd530c7632d9850c42ca31c14b5082c466a85a5ff5ac4ca0")),
     "price --alpha 1.1 --rho 0.8 --n 10000 --seed 42": (0, (
         "766f90abfc75c6bad118083dadab7e5b52f8cbf9e570086c04d9dd835dc03bf1",
         "766f90abfc75c6bad118083dadab7e5b52f8cbf9e570086c04d9dd835dc03bf1")),
@@ -117,8 +131,8 @@ GOLDEN = {
         "e3c23f5f13e0f103b9ac21629c70ed5fd9fd953f9c4da4fb538f3657aeb1eff1",
         "1c2b8c46c8998db1bf4ee6df24b07fcbe968fb723308a9699271750ab61a5689")),
     MINUTE_PATH: (0, (
-        "d0af3e11d26637c7c435be8e29620489f68ac38f9f11ebe378296fa4adda6f08",
-        "a2c6d94c84a358b175022c8e7edad62504f329e5139d30094fb825340ba31916")),
+        "a8ac5295c2897aa465c7bb43225a0fa9ec2fef5aa6f78cf73d7953e1b6371834",
+        "9fffa76dbeffb8d281009b4bb6c0b50294339b857df3a73b5fd21ec55d521e54")),
     SIGMA_SWEEP: (0, (
         "798521d97fb2fba95f3760bd7cca0892cedeebd9e3b9a7de220427777af3f8b6",
         "de8fdebb6e1e825f98c059e5b9450960ee4063369cefc755a1d7f2c5c96fe05a")),
@@ -129,16 +143,16 @@ GOLDEN = {
         "c5027d18b1f74b5b54e839d509ff668b80655f4a04aeb85c61f29138750cecc0",
         "c5027d18b1f74b5b54e839d509ff668b80655f4a04aeb85c61f29138750cecc0")),
     "simulate": (0, (
-        "aa66c4a84caf3d78c54d2f8955e5e6c6c0906543a660693886bdef270cadd5b3",
-        "47557c4922c600b07518795958e7b551d6820eeb8f113a05dd638ef2e56ee2e6")),
+        "aeeffcbd255e3e90aa9cecc92bffa3990fa1381fbc639b77c72c0362130fc84e",
+        "f3c2d1bbe6c3a095c8c956d3ecd063162dc62f63766d3cb6b92a5f08b550fbfa")),
     "mape --rho-grid 0 --alpha-grid 1,5 --sigma-j 30 --horizon 2": (4, (EMPTY, EMPTY)),
     "price --alpha 40 --rho 0 --sigma-i 0.05 --sigma-j 3 --maturity 2": (4, (EMPTY, EMPTY)),
     "mape --mode option --rho-grid 0 --alpha-grid 40 --sigma-i 0.05 --sigma-j 3 "
     "--maturity 2 --n 100": (4, (EMPTY, EMPTY)),
-    # exit 4 in 0.2.0: S_i**e overflowed; the log sum is finite
+    # exit 4 in 0.2.0: S_i**e overflowed; e*log of S_i's return is finite
     "simulate --alpha 400 --steps 5": (0, (
-        "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95",
-        "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95")),
+        "98a7220b2475ca5961a08f1030f00244c5adddc966be5940a7ba8b38c00c6019",
+        "98a7220b2475ca5961a08f1030f00244c5adddc966be5940a7ba8b38c00c6019")),
 }
 
 # argv: the hashes of 0.2.0 on the two paths, where 0.5.0 kept the random stream
@@ -167,6 +181,22 @@ LOG_SPACE_0_6_1 = {
         "872142642148d8b38804c2b6c56fafcad64e729ce6384b319fecfe3e8f4e3249"),
 }
 
+# argv: the hashes of 0.7.0 on the two paths, the commands that 0.8.0 re-pinned
+LOG_SPACE_0_7_0 = {
+    "simulate --rho 1 --alpha 1 --seed 42": (
+        "84717cd5e0101b5db69a8cfaf7299b701f6f1420215ad94a26b1c52fc61739c4",
+        "f0b04edb383d16c10d11cfb07ba603256cfc2181bc8ef9843617a6527c176e89"),
+    MINUTE_PATH: (
+        "d0af3e11d26637c7c435be8e29620489f68ac38f9f11ebe378296fa4adda6f08",
+        "a2c6d94c84a358b175022c8e7edad62504f329e5139d30094fb825340ba31916"),
+    "simulate": (
+        "aa66c4a84caf3d78c54d2f8955e5e6c6c0906543a660693886bdef270cadd5b3",
+        "47557c4922c600b07518795958e7b551d6820eeb8f113a05dd638ef2e56ee2e6"),
+    "simulate --alpha 400 --steps 5": (
+        "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95",
+        "03f4294d34b82d4548d6752f9884554afdf259e2239ea1f4113dc6f466d29c95"),
+}
+
 # argv: the hashes of 0.5.8 on the two paths
 ROUND_TRIP_0_5_8 = {
     ASSET_GRID: (
@@ -187,9 +217,15 @@ ROUND_TRIP_0_5_8 = {
 }
 
 # the largest distance in ulps between the two paths' values, by subcommand;
-# measured: 32 on the minute path (15 on the 252-step runs), 0 and 3 (4 on the
-# option grid of 0.6.1)
-ULPS = {"simulate": 32, "price": 0, "mape": 3}
+# measured: 6 on the minute path (4 on the 252-step runs; 32 and 15 in the log
+# space of 0.7.0), 0 and 3 (4 on the option grid of 0.6.1)
+ULPS = {"simulate": 6, "price": 0, "mape": 3}
+
+# argv: the largest change of a value since 0.7.0, relative; measured on both
+# paths: 2.12e-15 on the 252-step runs, 4.36e-15 on the minute path, 8.38e-13
+# at e = 800
+CHANGE_SINCE_0_7_0 = {"simulate --rho 1 --alpha 1 --seed 42": 2.2e-15, MINUTE_PATH: 4.4e-15,
+                      "simulate": 2.2e-15, "simulate --alpha 400 --steps 5": 8.4e-13}
 
 
 def run(argv: str) -> tuple[int, bytes]:
@@ -228,9 +264,7 @@ def product_form_twin_call(pair, a, spec, log_b):
     tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
     expo = a * sig_j / sig_i
-    log_a = (np.log(pair.asset_j.spot) - expo * np.log(pair.asset_i.spot)
-             + 0.5 * sig_j * (a * sig_i - sig_j) * tau)
-    ab = np.exp(log_a) * np.exp(log_b) * 1.0**expo
+    ab = np.exp(log_a(pair, a, tau)) * np.exp(log_b) * 1.0**expo
     k_i = spec.strike / ab
     g2 = (np.log(pair.asset_i.spot) - (sig_i / (a * sig_j)) * np.log(k_i)
           + (rate - 0.5 * sig_i**2) * tau) / (sig_i * np.sqrt(tau))
@@ -243,13 +277,10 @@ def product_form_twin_call(pair, a, spec, log_b):
 
 def product_form_prediction(pair, a, times, s_i, log_b):
     """The 0.2.0 per-step loop of `simulate`: A(t)*B*S_i**e in scalar arithmetic."""
-    sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    expo = a * sig_j / sig_i
+    expo = twin_exponent(pair, a)
     predicted = np.empty(len(times))
     for k in range(len(times)):
-        log_a = (np.log(pair.asset_j.spot) - expo * np.log(pair.asset_i.spot)
-                 + 0.5 * sig_j * (a * sig_i - sig_j) * times[k])
-        predicted[k] = np.exp(log_a) * np.exp(log_b[k]) * s_i[k] ** expo
+        predicted[k] = np.exp(log_a(pair, a, times[k])) * np.exp(log_b[k]) * s_i[k] ** expo
     return predicted
 
 
@@ -270,7 +301,7 @@ def log_space_twin_call(pair, a, spec, log_b):
     transformed strike K/(A*B), with the operations of 0.6.1."""
     tau, rate = spec.maturity, spec.rate
     sig_i, sig_j = pair.asset_i.sigma, pair.asset_j.sigma
-    log_ab = deterministic_term(pair, a, tau) + log_b
+    log_ab = log_a(pair, a, tau) + log_b
     log_spot = np.log(pair.asset_i.spot)
     e = twin_exponent(pair, a)
     growth = (e - 1.0) * (log_spot + (rate + 0.5 * a * sig_j * sig_i) * tau)
@@ -329,6 +360,31 @@ def as_in_0_5_8(patch):
                       exact(pair, alpha_through_mu_j(pair, a), *args, **kwargs))
 
 
+def log_space_prediction(pair, a, tau, s_i, log_b):
+    """The 0.3.0 to 0.7.0 `predict_twin`: exp(log A + log B + e*log S_i)."""
+    return np.exp(log_a(pair, a, tau) + log_b + twin_exponent(pair, a) * np.log(s_i))
+
+
+def as_in_0_7_0(patch):
+    """`simulate` and `price` as 0.7.0 ran them: the prediction in log space,
+    and the relation at the alpha that `twin.alpha` read back from the mu_j
+    that `--alpha` set. Without `--alpha`, the pinned pairs' alpha survives
+    that round trip unchanged."""
+    patch.setattr(cli, "predict_twin", log_space_prediction)
+    for name in ("stochastic_term", "predict_twin", "twin_call"):
+        exact = getattr(cli, name)
+        patch.setattr(cli, name, lambda pair, a, *args, exact=exact, **kwargs:
+                      exact(pair, alpha_through_mu_j(pair, a), *args, **kwargs))
+
+
+@functools.cache
+def output_0_7_0(argv: str) -> tuple[int, bytes]:
+    """argv's exit code and output as 0.7.0 computed them, run once per process."""
+    with pytest.MonkeyPatch.context() as patch:
+        as_in_0_7_0(patch)
+        return run(argv)
+
+
 def values(data: bytes) -> np.ndarray:
     """The numbers of a key=value record or of a CSV body."""
     lines = data.decode().splitlines()
@@ -339,7 +395,7 @@ def values(data: bytes) -> np.ndarray:
 
 def record(path: str) -> None:
     """Write this process's fingerprint and the output of every golden
-    command, unpatched and as 0.2.0, 0.5.8 and 0.6.1 computed it, to `path`
+    command, unpatched and as 0.2.0, 0.5.8, 0.6.1 and 0.7.0 computed it, to `path`
     as JSON."""
     runs = {"now": {argv: run(argv) for argv in GOLDEN}, "0.2.0": {}, "0.5.8": {}, "0.6.1": {}}
     for argv in PRODUCT_FORM_0_2_0:
@@ -351,6 +407,7 @@ def record(path: str) -> None:
             as_in_0_5_8(patch)
             runs["0.5.8"][argv] = run(argv)
     runs["0.6.1"] = {argv: log_space_output(argv) for argv in LOG_SPACE_0_6_1}
+    runs["0.7.0"] = {argv: output_0_7_0(argv) for argv in LOG_SPACE_0_7_0}
     text = {kind: {argv: [code, data.decode()] for argv, (code, data) in outputs.items()}
             for kind, outputs in runs.items()}
     with open(path, "w", encoding="utf-8") as fh:
@@ -401,7 +458,7 @@ def test_golden_hash_with_avx512_off(argv, avx512_off):
 def test_older_hashes_with_avx512_off(avx512_off):
     path, runs = avx512_off
     for kind, pins in (("0.2.0", PRODUCT_FORM_0_2_0), ("0.5.8", ROUND_TRIP_0_5_8),
-                       ("0.6.1", LOG_SPACE_0_6_1)):
+                       ("0.6.1", LOG_SPACE_0_6_1), ("0.7.0", LOG_SPACE_0_7_0)):
         for argv, expected_sha in pins.items():
             assert sha256(runs[kind][argv][1]) == expected_sha[path], (kind, argv)
 
@@ -464,6 +521,18 @@ def test_black_scholes_form_is_the_only_change_since_0_6_1(argv):
     assert np.all(np.abs(new - old) <= 1e-13 * estimate_scale(argv, old))
 
 
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_return_form_is_the_only_change_since_0_7_0(argv):
+    _, new = golden_output(argv)
+    if argv not in LOG_SPACE_0_7_0:
+        assert output_0_7_0(argv) == golden_output(argv)
+        return
+    _, old = output_0_7_0(argv)
+    assert sha256(old) == LOG_SPACE_0_7_0[argv][path_of(fingerprint())]
+    new, old = values(new), values(old)
+    assert np.all(np.abs(new - old) <= CHANGE_SINCE_0_7_0[argv] * np.abs(old))
+
+
 @pytest.mark.parametrize("argv", list(ROUND_TRIP_0_5_8))
 def test_exact_alpha_is_the_only_change_since_0_5_8(argv, monkeypatch):
     # against 0.6.1, where 0.7.0 changed the command
@@ -514,7 +583,7 @@ EXIT_4_STDERR = {
     "mape --rho-grid 0 --alpha-grid 1,5 --sigma-j 30 --horizon 2":
         "non-finite MAPE at rho=0.0, alpha=5.0: mape=inf, se=nan",
     "price --alpha 40 --rho 0 --sigma-i 0.05 --sigma-j 3 --maturity 2":
-        "non-finite twin price at alpha = 39.99999999999999, rho = 0.0: mean=inf, se=nan",
+        "non-finite twin price at alpha = 40.0, rho = 0.0: mean=inf, se=nan",
     "mape --mode option --rho-grid 0 --alpha-grid 40 --sigma-i 0.05 --sigma-j 3 "
     "--maturity 2 --n 100":
         "non-finite MAPE at rho=0.0, alpha=40.0: mape=inf, se=nan",

@@ -23,7 +23,8 @@ from twinassets import (
 )
 from twinassets import pricing
 from twinassets.cli import main
-from conftest import decimal_twin_call, expected_twin_call, reference_bs_call, twin_call_quadrature
+from conftest import (decimal_twin_call, expected_twin_call, log_a, reference_bs_call,
+                      twin_call_quadrature)
 
 
 def log_b_of(pair, spec, draw):
@@ -290,10 +291,8 @@ class TestQuadratureOracle:
 
     def test_deep_itm_limit(self, section3_pair):
         # K -> 0: both routes approach the discounted power-forward value.
-        from twinassets import deterministic_term
-
         spec = OptionSpec(strike=1e-9, maturity=0.25, rate=0.05)
-        a_term = math.exp(deterministic_term(section3_pair, 1.0, 0.25))
+        a_term = math.exp(log_a(section3_pair, 1.0, 0.25))
         expo = 2.0  # alpha * sigma_j / sigma_i at section-3 parameters
         forward = a_term * 80.0**expo * math.exp((expo - 1) * (0.05 + 0.5 * 0.4 * 0.2) * 0.25)
         closed = float(twin_call(section3_pair, 1.0, spec, 0.0))

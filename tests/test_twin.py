@@ -11,7 +11,6 @@ from twinassets import (
     NoiseDraw,
     TwinPair,
     alpha,
-    deterministic_term,
     predict_twin,
     stochastic_term,
 )
@@ -71,22 +70,24 @@ class TestAlpha:
 
 
 class TestDeterministicTerm:
+    """A, read through `predict_twin` at S_i = S_i(0) and log B = 0, where
+    the prediction is A*S_i(0)^e."""
+
     def test_identical_twin_reduction(self):
+        # A = 1 and e = 1, so the prediction is S_i(0) exactly
         a = AssetParams(mu=0.3, sigma=0.25, spot=70.0)
         pair = TwinPair(asset_i=a, asset_j=a, rho=1.0)
-        assert deterministic_term(pair, alpha(pair), 0.5) == 0.0
+        assert predict_twin(pair, alpha(pair), 0.5, a.spot, 0.0) == a.spot
 
     def test_section3_frozen_value(self, section3_pair):
-        # Independent scalar re-evaluation: 90 * 80^-2 * e^{0.2*(0.2-0.4)/252}.
-        assert math.exp(deterministic_term(section3_pair, 1.0, 1 / 252)) == pytest.approx(
-            0.01406026803428768, rel=1e-14
+        # Independent scalar re-evaluation: 90 * 80^-2 * e^{0.2*(0.2-0.4)/252}, times 80^2.
+        assert predict_twin(section3_pair, 1.0, 1 / 252, 80.0, 0.0) == pytest.approx(
+            0.01406026803428768 * 80.0**2, rel=1e-14
         )
 
     def test_small_tau_limit(self, section3_pair):
-        expected = 90.0 * 80.0 ** (-2.0)
-        assert math.exp(deterministic_term(section3_pair, 1.0, 1e-14)) == pytest.approx(
-            expected, rel=1e-12
-        )
+        # A -> 90 * 80^-2 as tau -> 0, times 80^2
+        assert predict_twin(section3_pair, 1.0, 1e-14, 80.0, 0.0) == pytest.approx(90.0, rel=1e-12)
 
 
 class TestStochasticTerm:
