@@ -17,7 +17,7 @@ finally:
     if _gc_was_enabled:
         gc.enable()
 
-__version__ = "0.8.0"
+__version__ = "0.8.1"
 
 __all__ = [
     "AssetParams",

@@ -5,10 +5,10 @@ any external tool can plot them; nothing is rendered here. Runs with the
 same flags and seed are byte-identical regardless of `--threads`.
 
 Each subcommand accepts only the flags its readers read (see OPTIONS);
-any other flag, one the chosen `mape` mode does not read, or `--mu-j`
-with alpha set, is a usage error. `_merged_options` alone converts an
-option's text, from its flag or config line, and names that source when
-the text is rejected. Config files do not nest. Exit codes:
+any other flag, one the chosen `mape` mode does not read, or a drift
+that alpha replaces (`_BY_ALPHA`), is a usage error. `_merged_options`
+alone converts an option's text, from its flag or config line, and names
+that source when the text is rejected. Config files do not nest. Exit codes:
 0 success, 2 usage/validation error (a size too large to allocate
 included), 3 I/O error, 4 numerical failure.
 """
@@ -100,6 +100,8 @@ _COMMANDS = {  # each subcommand's help line and readers
 _PAIR = ("simulate", "price")  # a mape cell takes its rho and alpha from the grids
 _ALL = (*_PAIR, *_MAPE)
 _PRICED = (*_PAIR, "option")  # an asset cell reads sigma_j alone; S_i cancels from a price
+# the drifts that a given alpha replaces; only `simulate`'s path of asset j reads one
+_BY_ALPHA = {"simulate": ("mu_j",), "price": ("mu_i", "mu_j")}
 
 # Baseline parameter set of the numerical illustration. sigma_j is not
 # part of the published set; 0.4 is the value under which the published
@@ -167,9 +169,9 @@ def _read_config(path: str) -> dict:
 def _merged_options(args: argparse.Namespace) -> dict:
     """Flag > config file > built-in default, per key. The reader is the
     subcommand or, under `mape`, the mode; it reads the options that list
-    it, except `mu_j` when `alpha`, which sets mu_j, is given. A read
-    option's text, from its flag or config line, is converted here and only
-    here, and a conversion error names that flag or line; `sources` maps
+    it, except the drifts that a given `alpha` replaces (`_BY_ALPHA`). A
+    read option's text, from its flag or config line, is converted here and
+    only here, and a conversion error names that flag or line; `sources` maps
     each converted key to that name. A config file may set any known key,
     so one file can serve every subcommand; a key that the reader does not
     read keeps its default and is not converted. Such a flag is a usage
@@ -181,9 +183,10 @@ def _merged_options(args: argparse.Namespace) -> dict:
         reader = given.get("mode", (OPTIONS["mode"].default,))[0]
         if reader not in _MODES:
             raise InvalidParameterError(f"unknown mape mode {reader!r}")
+    replaced = _BY_ALPHA.get(reader, ()) if "alpha" in given else ()
     merged, sources = {}, {}
     for name, opt in OPTIONS.items():
-        read = reader in opt.readers and not (name == "mu_j" and "alpha" in given)
+        read = reader in opt.readers and name not in replaced
         if name in flags and not read:
             where = f"mape --mode {reader}" if reader in _MODES else f"{reader} with alpha set"
             raise InvalidParameterError(f"{_flag(name)} is not read by {where}")
@@ -197,23 +200,13 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _build_pair(opts: dict) -> TwinPair:
-    """The pair of the options, with the defaults of those a `mape` mode does
-    not read; alpha, when given, then sets mu_j for `simulate`'s path of asset
-    j (the twin relation takes alpha as given), so other faults are named as
-    without it, and a mu_j that overflows is named by alpha's flag or line."""
+    """The pair of the options, with the defaults of those that the run does
+    not read: a `mape` mode's drifts, and those that a given alpha replaces."""
     with naming("asset i"):
         asset_i = AssetParams(mu=opts["mu_i"], sigma=opts["sigma_i"], spot=opts["spot_i"])
     with naming("asset j"):
         asset_j = AssetParams(mu=opts["mu_j"], sigma=opts["sigma_j"], spot=opts["spot_j"])
-    pair = TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
-    if opts["alpha"] is not None:
-        # alpha = sigma_i*mu_j/(sigma_j*mu_i) solved for mu_j
-        mu_j = opts["alpha"] * asset_j.sigma * asset_i.mu / asset_i.sigma
-        if not math.isfinite(mu_j):
-            raise InvalidParameterError(f"{opts['sources']['alpha']}: mu_j = "
-                                        f"alpha*sigma_j*mu_i/sigma_i must be finite, got {mu_j}")
-        pair = replace(pair, asset_j=replace(asset_j, mu=mu_j))
-    return pair
+    return TwinPair(asset_i=asset_i, asset_j=asset_j, rho=opts["rho"])
 
 
 _SIMULATE_HEADER = ("t", "s_i", "s_j", "s_j_predicted")
@@ -244,6 +237,13 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def run_simulate(opts: dict) -> str:
     pair = _build_pair(opts)
+    if opts["alpha"] is not None:
+        # asset j's path reads mu_j: alpha = sigma_i*mu_j/(sigma_j*mu_i) solved for it
+        mu_j = opts["alpha"] * pair.asset_j.sigma * pair.asset_i.mu / pair.asset_i.sigma
+        if not math.isfinite(mu_j):
+            raise InvalidParameterError(f"{opts['sources']['alpha']}: mu_j = "
+                                        f"alpha*sigma_j*mu_i/sigma_i must be finite, got {mu_j}")
+        pair = replace(pair, asset_j=replace(pair.asset_j, mu=mu_j))
     a = opts["alpha"] or alpha(pair)  # as given (never 0), else of the drifts
     steps, dt = opts["steps"], opts["dt"]
     times, path_i, path_j = simulate_paths(pair, steps, dt, opts["seed"])

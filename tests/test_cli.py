@@ -16,11 +16,12 @@ from twinassets import (
     OptionSpec,
     TwinPair,
     alpha,
+    simulate_paths,
     stochastic_term,
     twin_call,
 )
 from twinassets import cli
-from twinassets.cli import _build_pair, _fmt, _merged_options, _rows, build_parser, main
+from twinassets.cli import OPTIONS, _fmt, _merged_options, _rows, build_parser, main
 from twinassets.seeding import STREAM_DRAWS, STREAM_PRICE, substream
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -145,8 +146,9 @@ CONVERSION_ERRORS = [
     ("alpha", ("simulate",), "0", "alpha must be finite and > 0, got 0.0"),
     ("alpha", ("price",), "nan", "alpha must be finite and > 0, got nan"),
     ("alpha", ("price",), "inf", "alpha must be finite and > 0, got inf"),
-    # a finite alpha whose mu_j = alpha*sigma_j*mu_i/sigma_i overflows
-    ("alpha", ("price", "--sigma-j", "30"), "1e308",
+    # a finite alpha whose mu_j = alpha*sigma_j*mu_i/sigma_i overflows; only
+    # `simulate`, whose path of asset j reads mu_j, forms it
+    ("alpha", ("simulate", "--sigma-j", "30", "--steps", "2"), "1e308",
      "mu_j = alpha*sigma_j*mu_i/sigma_i must be finite, got inf"),
     ("steps", ("simulate",), "x", INT),
     ("dt", ("simulate",), "x", FLOAT),
@@ -174,6 +176,26 @@ CONVERSION_ERRORS = [
     ("sigma_j_values", ("mape", "--mode", "sigma-sweep"), "1e155",
      "sigma**2 must be finite, got sigma = 1e+155"),
 ]
+
+
+# A run of each reader at tiny sizes, away from (rho, alpha) = (1, 1), where
+# log B is identically 0 and the seed would change no price
+READ_RUNS = {
+    "simulate": "simulate --steps 5 --rho 0.5",
+    "simulate --alpha": "simulate --steps 5 --rho 0.5 --alpha 1.1",
+    "price": "price --n 50 --rho 0.5",
+    "price --alpha": "price --n 50 --rho 0.5 --alpha 1.1",
+    **{f"mape --mode {mode}": f"mape --mode {mode} --rho-grid 0.5 --alpha-grid 1.1 --n 50"
+       for mode in ("asset", "option", "sigma-sweep", "horizon-compare")},
+}
+# another value of each option but --threads, --out, --config and --mode,
+# which change no number (a run's mode is its reader)
+PERTURBED = {
+    "mu_i": "0.5", "mu_j": "0.9", "sigma_i": "0.25", "sigma_j": "0.45", "spot_i": "85",
+    "spot_j": "95", "rho": "0.8", "alpha": "1.2", "steps": "6", "dt": "0.01",
+    "horizon": "0.01", "n": "60", "strike": "95", "rate": "0.03", "maturity": "0.5",
+    "seed": "7", "rho_grid": "0.6", "alpha_grid": "1.2", "sigma_j_values": "0.3",
+}
 
 
 def gate_argv(reader, flag, value):
@@ -449,13 +471,24 @@ class TestPrice:
 
 
 class TestAlphaSetsMuJ:
-    """`--alpha` sets mu_j = alpha*sigma_j*mu_i/sigma_i on a `simulate` or
-    `price` pair, for `simulate`'s path of asset j; the twin relation takes
-    alpha as given, and forms it from the drifts only without `--alpha`."""
+    """`--alpha` sets mu_j = alpha*sigma_j*mu_i/sigma_i on the pair of
+    `simulate`'s paths, the one result that reads mu_j; the twin relation
+    takes alpha as given, and forms it from the drifts only without `--alpha`."""
 
     @staticmethod
     def pair(*flags):
-        return _build_pair(_merged_options(build_parser().parse_args(["price", *flags])))
+        """The pair whose paths a one-step `simulate` run with `flags` draws."""
+        drawn = []
+
+        def recording(pair, *args):
+            drawn.append(pair)
+            return simulate_paths(pair, *args)
+
+        args = build_parser().parse_args(["simulate", "--steps", "1", *flags])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "simulate_paths", recording)
+            cli.run_simulate(_merged_options(args))
+        return drawn[0]
 
     def test_section3_consistency(self):
         assert self.pair("--alpha", "1").asset_j.mu == pytest.approx(0.8, rel=1e-15)
@@ -843,12 +876,35 @@ class TestFlagsPerSubcommand:
         # S_i cancels from the twin price
         (["price", "--spot-i", "80"], "--spot-i"),
         (["mape", "--mode", "option", "--spot-i", "80"], "--spot-i"),
+        # `price` given alpha reads no drift: alpha replaces mu_i as well
+        (["price", "--mu-i", "0.4", "--alpha", "1.1"], "--mu-i"),
     ])
     def test_unread_flag_is_usage_error(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "out.csv"
         assert exit_code([*argv, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reader", list(READ_RUNS))
+    def test_every_flag_a_run_reads_changes_its_output(self, reader, tmp_path, capsys):
+        # a flag that the run accepts but whose value leaves its bytes as they
+        # are is silently ignored; a flag that it rejects is not read
+        assert set(PERTURBED) == set(OPTIONS) - {"threads", "out", "config", "mode"}
+        base = READ_RUNS[reader].split()
+        code, plain = run(tmp_path, *base, name="plain.out")
+        assert code == 0
+        read, unchanged = [], []
+        for key, value in PERTURBED.items():
+            out = tmp_path / f"{key}.out"
+            code = exit_code([*base, _flag_of(key), value, "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 2 and ("unrecognized arguments" in err or " is not read by " in err):
+                continue
+            assert code == 0, (key, err)
+            read.append(key)
+            if out.read_bytes() == plain.read_bytes():
+                unchanged.append(key)
+        assert read and unchanged == []
 
     def test_config_may_set_keys_a_subcommand_does_not_read(self, tmp_path):
         cfg = tmp_path / "shared.cfg"
@@ -962,10 +1018,12 @@ class TestFlagsPerSubcommand:
             assert not out.exists()
 
     def test_config_mu_j_with_alpha_flag_is_not_read(self, tmp_path):
-        # alpha sets mu_j, so a config mu_j beside it is neither used nor checked
-        cfg = tmp_path / "mu_j.cfg"
-        cfg.write_text("mu_j = nan\n")
-        for command, args in (("simulate", ("--steps", "5")), ("price", ("--n", "200"))):
+        # alpha replaces mu_j, and for `price` mu_i too, so a config drift that
+        # it replaces is neither used nor checked
+        for command, lines, args in (("simulate", "mu_j = nan\n", ("--steps", "5")),
+                                     ("price", "mu_j = nan\nmu_i = nan\n", ("--n", "200"))):
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text(lines)
             argv = (command, "--alpha", "1.1", "--rho", "0.8", *args)
             code, out = run(tmp_path, *argv, "--config", str(cfg), name="config.csv")
             assert code == 0

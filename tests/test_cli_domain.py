@@ -47,7 +47,7 @@ SEED = st.integers(0, 2**31)
 # the asset options of the twin price, in which S_i cancels; a `mape` asset
 # cell reads sigma_j alone
 PRICED = {"sigma_i": VOL, "sigma_j": VOL, "spot_j": PRICE}
-PAIR = {**PRICED, "mu_i": DRIFT, "rho": RHO, "seed": SEED}
+PAIR = {**PRICED, "rho": RHO, "seed": SEED}
 OPTION = {"strike": PRICE, "rate": RATE, "maturity": TIME}
 
 
@@ -64,14 +64,17 @@ def argv_of(command: str, flags: dict) -> list[str]:
 def simulate_argv():
     similarity = st.one_of(st.fixed_dictionaries({"alpha": ALPHA}),
                            st.fixed_dictionaries({"mu_j": DRIFT}))
-    flags = st.fixed_dictionaries({**PAIR, "spot_i": PRICE, "steps": st.sampled_from([1, 2, 200]),
-                                   "dt": TIME})
+    flags = st.fixed_dictionaries({**PAIR, "mu_i": DRIFT, "spot_i": PRICE,
+                                   "steps": st.sampled_from([1, 2, 200]), "dt": TIME})
     return st.builds(lambda f, s: argv_of("simulate", {**f, **s}), flags, similarity)
 
 
 def price_argv():
+    # `price` given alpha reads no drift, so --mu-i beside it exits 2; the run
+    # without it is drawn too
     similarity = st.one_of(st.fixed_dictionaries({"alpha": ALPHA}),
-                           st.fixed_dictionaries({"mu_j": DRIFT}))
+                           st.fixed_dictionaries({"alpha": ALPHA, "mu_i": DRIFT}),
+                           st.fixed_dictionaries({"mu_i": DRIFT, "mu_j": DRIFT}))
     flags = st.fixed_dictionaries({**PAIR, **OPTION, "n": N})
     return st.builds(lambda f, s: argv_of("price", {**f, **s}), flags, similarity)
 
@@ -123,9 +126,12 @@ RECORDED = [
     # ... which mape, reading no drift, no longer rejects (exit 2 before 0.6.1)
     "mape --mode option --sigma-j 5e-324 --rho-grid 0 --alpha-grid 1 --n 2",
     "mape --mode sigma-sweep --sigma-j-values 0.2,5e-324 --rho-grid 0 --alpha-grid 1 --n 10",
-    # alpha infinite, or finite with mu_j overflowing (unnamed before 0.6.1)
+    # alpha infinite, or finite with mu_j overflowing (unnamed before 0.6.1);
+    # since 0.8.1 only `simulate` forms mu_j, and `price` reads no drift with alpha
     "price --alpha inf",
     "price --alpha 1e308 --sigma-j 30",
+    "simulate --alpha 1e308 --sigma-j 30 --steps 2",
+    "price --alpha 1 --mu-i 1e300 --sigma-i 1e-10",
     # a grid cell's mu_j overflowed (exit 2 after the draw, unnamed, before
     # 0.5.2), or rounded to 0 and gave the option cell alpha = 0 (exit 2,
     # named, before 0.6.0); without the flags that mape no longer reads, the
